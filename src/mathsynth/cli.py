@@ -11,10 +11,10 @@ import argparse
 import json
 import statistics
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .environment import EnvConfig, Environment
+from .environment import ConfigError, EnvConfig, Environment
 from .graph import StructuralError
 from .mining import mine_episode_log, register
 from .operators import default_registry, full_registry, make_registry
@@ -25,19 +25,19 @@ from .problems import (
     load_dataset_file,
     write_dataset_file,
 )
-from .qlearning import TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
+from .qlearning import (
+    TrainConfig,
+    TrainingDiverged,
+    evaluate,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 from .values import MathParseError
 
 USAGE_ERROR, DATA_ERROR, INTERNAL_ERROR = 2, 1, 3
 
-_ENV_KEYS = {f.name for f in fields(EnvConfig)}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_EXTRA_KEYS = {"count", "registry"}
-KNOWN_KEYS = _ENV_KEYS | _TRAIN_KEYS | _EXTRA_KEYS
-
-
-class ConfigError(ValueError):
-    pass
+KNOWN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 def load_config(path) -> dict:
@@ -56,19 +56,6 @@ def load_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value
     return out
-
-
-def split_config(mapping: dict):
-    """(EnvConfig, TrainConfig, extras) from a flat key=value mapping."""
-    env_map = {k: v for k, v in mapping.items() if k in _ENV_KEYS}
-    train_map = {k: v for k, v in mapping.items() if k in _TRAIN_KEYS}
-    extras = {k: v for k, v in mapping.items() if k in _EXTRA_KEYS}
-    try:
-        env_cfg = EnvConfig.from_mapping(env_map)
-        train_cfg = TrainConfig.from_mapping(train_map)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return env_cfg, train_cfg, extras
 
 
 def _registry_for(name: str):
@@ -160,13 +147,12 @@ def _metrics_writer(path):
 
 def cmd_train(args) -> int:
     mapping = load_config(args.config) if args.config else {}
-    _, train_cfg, _ = split_config(mapping)
     if args.module:
-        train_cfg.modules = _parse_modules(args.module)
-    else:
-        train_cfg.modules = _parse_modules(",".join(train_cfg.modules))
+        mapping["modules"] = args.module
     if args.seed is not None:
-        train_cfg.seed = args.seed
+        mapping["seed"] = args.seed
+    train_cfg = TrainConfig.from_mapping(mapping)
+    env_fields = {f.name: getattr(train_cfg, f.name) for f in fields(EnvConfig)}
     registry = _registry_for(args.registry)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -174,7 +160,7 @@ def cmd_train(args) -> int:
     seeds = [train_cfg.seed + i for i in range(args.seeds)]
     final_means = []
     for seed in seeds:
-        cfg = TrainConfig(**{**train_cfg.__dict__, "seed": seed})
+        cfg = replace(train_cfg, seed=seed)
         suffix = f"_seed{seed}" if len(seeds) > 1 else ""
         sink, fh = _metrics_writer(out_dir / f"metrics{suffix}.jsonl")
         resume = None
@@ -190,7 +176,7 @@ def cmd_train(args) -> int:
             ckpt,
             result.q,
             registry,
-            extra={"env_steps": result.env_steps, "modules": list(cfg.modules)},
+            extra={"env_steps": result.env_steps, "modules": list(cfg.modules), "env": env_fields},
         )
         last_eval = result.metrics[-1]["eval"] if result.metrics else {}
         mean = statistics.fmean(last_eval.values()) if last_eval else 0.0
@@ -212,7 +198,8 @@ def cmd_eval(args) -> int:
     problems = []
     for module in modules:
         problems.extend(gp.problem for gp in generate(module, args.count, args.seed))
-    env = Environment(registry)
+    # checkpoints written before the environment was recorded used the defaults
+    env = Environment(registry, EnvConfig(**meta.get("env", {})))
     per_module = evaluate(q, env, problems)
     width = max(len(m) for m in per_module)
     for module, mean in per_module.items():
@@ -245,6 +232,13 @@ def cmd_mine(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mathsynth")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -270,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--module", help="override the module subset")
     p.add_argument("--seed", type=int)
-    p.add_argument("--seeds", type=int, default=1, help="number of seeded trials")
+    p.add_argument("--seeds", type=_positive_int, default=1, help="number of seeded trials")
     p.add_argument("--registry", default="default")
     p.add_argument("--checkpoint", help="resume from this checkpoint")
     p.add_argument("--out", default="runs")
@@ -304,6 +298,7 @@ def main(argv=None) -> int:
         ExtractionError,
         MathParseError,
         StructuralError,
+        TrainingDiverged,
         FileNotFoundError,
         ValueError,
         KeyError,

@@ -9,7 +9,8 @@ permitted; they always lead to an output of "None" and reward 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,7 +20,11 @@ from .parsing import BpeCodec, Observation, Problem, encode_observation
 from .values import ABSENT, EXPRESSION, free_symbols, is_subtype, render
 
 
-@dataclass
+class ConfigError(ValueError):
+    """A config value that cannot be read or is out of range."""
+
+
+@dataclass(frozen=True)
 class EnvConfig:
     n_inputs: int = 3
     max_nodes: int = 7
@@ -27,17 +32,31 @@ class EnvConfig:
     max_question_tokens: int = 128
     univariate_differentiate_only: bool = True
 
+    def __post_init__(self):
+        # runs on construction, from_mapping and dataclasses.replace alike;
+        # subclasses extend it and call it first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
+        for key in ("n_inputs", "max_nodes", "max_question_tokens"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive")
+
     @classmethod
-    def from_mapping(cls, mapping: dict) -> "EnvConfig":
-        cfg = cls()
+    def from_mapping(cls, mapping: dict):
+        """A validated config from key -> value pairs; text values are
+        coerced to the type of each field's default."""
+        defaults = {f.name: f.default for f in fields(cls)}
+        values = {}
         for key, raw in mapping.items():
-            if not hasattr(cfg, key):
-                raise KeyError(f"unknown environment config key: {key}")
-            current = getattr(cfg, key)
-            setattr(cfg, key, _coerce(raw, type(current)))
-        if cfg.n_inputs < 1 or cfg.max_nodes < 1 or cfg.max_question_tokens < 1:
-            raise ValueError("environment config values must be positive")
-        return cfg
+            if key not in defaults:
+                raise KeyError(f"unknown config key: {key}")
+            try:
+                values[key] = _coerce(raw, type(defaults[key]))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        return cls(**values)
 
 
 def _coerce(raw, typ):
@@ -49,6 +68,8 @@ def _coerce(raw, typ):
         if str(raw).lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
+    if typ is tuple and isinstance(raw, str):
+        return tuple(item.strip() for item in raw.split(",") if item.strip())
     return typ(raw)
 
 

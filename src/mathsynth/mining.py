@@ -78,9 +78,6 @@ class MinedOperator:
     def default_name(self) -> str:
         return f"{self.template.spec.name}_{self.size}"
 
-    def eval_with(self, args) -> object:
-        return _eval_template(self.template, args)
-
     def to_operator_spec(self, name: str | None = None) -> OperatorSpec:
         template = self.template
         params = tuple((f"p{i}", t) for i, t in enumerate(self.param_types))

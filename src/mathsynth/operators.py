@@ -7,6 +7,7 @@ instead of raising, and Absent arguments are absorbing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,13 +102,6 @@ def _as_int(v: TypedValue) -> int | None:
     if f is None or f.denominator != 1:
         return None
     return f.numerator
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _trial_division_is_prime(n: int) -> bool:
@@ -239,14 +233,9 @@ def _op_append_to_empty_list(eq):
 
 def _primitive(coeffs):
     """(content, primitive integer coefficients with positive lead)."""
-    lcm_den = 1
-    for c in coeffs:
-        lcm_den = lcm_den * c.denominator // _gcd(lcm_den, c.denominator)
+    lcm_den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm_den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = _gcd(g, c)
-    g = g or 1
+    g = math.gcd(*ints) or 1
     if ints[-1] < 0:
         g = -g
     ints = [c // g for c in ints]
@@ -317,7 +306,7 @@ def _op_gcd(x, y):
     a, b = _as_int(x), _as_int(y)
     if a is None or b is None:
         return ABSENT
-    return value(_gcd(a, b))
+    return value(math.gcd(a, b))
 
 
 def _op_divides(numerator, denominator):
@@ -338,17 +327,14 @@ def _op_lcm(x, y):
     a, b = _as_int(x), _as_int(y)
     if a is None or b is None:
         return ABSENT
-    if a == 0 or b == 0:
-        return value(0)
-    return value(abs(a * b) // _gcd(a, b))
+    return value(math.lcm(a, b))
 
 
 def _op_lcd(x, y):
     a, b = _as_fraction(x), _as_fraction(y)
     if a is None or b is None:
         return ABSENT
-    da, db = a.denominator, b.denominator
-    return value(da * db // _gcd(da, db))
+    return value(math.lcm(a.denominator, b.denominator))
 
 
 def _op_prime_factors(n):

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import EnvConfig, Environment
+from .environment import ConfigError, EnvConfig, Environment
 from .operators import Registry, default_registry
 from .parsing import Observation
-from .problems import generate
+from .problems import SUPPORTED_MODULES, generate
 from .replay import ReplayBuffer, Trajectory, Transition
 from .search import Step, random_rollout, run_episode
 
@@ -129,8 +129,11 @@ def load_checkpoint(path, registry: Registry | None = None):
 # training
 
 
-@dataclass
-class TrainConfig:
+@dataclass(frozen=True)
+class TrainConfig(EnvConfig):
+    """Trainer settings on top of the environment settings that shape the
+    action space; from_mapping and the validator are shared with EnvConfig."""
+
     modules: tuple = ("numbers__div_remainder",)
     seed: int = 0
     gamma: float = 0.99
@@ -150,47 +153,36 @@ class TrainConfig:
     feature_dim: int = 1 << 15
     feature_seed: int = 1
     priority_floor: float = 1e-3
-    n_inputs: int = 3
-    max_nodes: int = 7
 
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "TrainConfig":
-        cfg = cls()
-        for key, raw in mapping.items():
-            if not hasattr(cfg, key):
-                raise KeyError(f"unknown trainer config key: {key}")
-            current = getattr(cfg, key)
-            if key == "modules":
-                value = tuple(str(raw).split(",")) if isinstance(raw, str) else tuple(raw)
-            elif isinstance(current, bool):
-                value = str(raw).lower() in ("1", "true", "yes", "on")
-            else:
-                value = type(current)(raw)
-            setattr(cfg, key, value)
-        _validate(cfg)
-        return cfg
-
-
-def _validate(cfg: TrainConfig):
-    if not cfg.modules:
-        raise ValueError("at least one module is required")
-    if not 0 <= cfg.gamma <= 1:
-        raise ValueError("gamma must be in [0, 1]")
-    for key in (
-        "learning_rate",
-        "batch_size",
-        "target_sync",
-        "buffer_capacity",
-        "total_steps",
-        "eval_interval",
-        "feature_dim",
-        "train_problems_per_module",
-        "eval_problems_per_module",
-    ):
-        if getattr(cfg, key) <= 0:
-            raise ValueError(f"{key} must be positive")
-    if not 0 <= cfg.epsilon_end <= cfg.epsilon_start <= 1:
-        raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.modules:
+            raise ConfigError("at least one module is required")
+        for module in self.modules:
+            if module not in SUPPORTED_MODULES:
+                raise ConfigError(f"unsupported module: {module!r}")
+        if not 0 <= self.gamma <= 1:
+            raise ConfigError("gamma must be in [0, 1]")
+        for key in (
+            "learning_rate",
+            "batch_size",
+            "target_sync",
+            "buffer_capacity",
+            "total_steps",
+            "updates_per_step",
+            "eval_interval",
+            "feature_dim",
+            "train_problems_per_module",
+            "eval_problems_per_module",
+            "priority_floor",
+        ):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive")
+        for key in ("seed", "init_steps", "epsilon_decrement"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must not be negative")
+        if not 0 <= self.epsilon_end <= self.epsilon_start <= 1:
+            raise ConfigError("need 0 <= epsilon_end <= epsilon_start <= 1")
 
 
 @dataclass
@@ -269,9 +261,7 @@ def train(
     registry = registry if registry is not None else default_registry()
     rng = random.Random(config.seed)
     nrng = np.random.default_rng(config.seed)
-    env = Environment(
-        registry, EnvConfig(n_inputs=config.n_inputs, max_nodes=config.max_nodes)
-    )
+    env = Environment(registry, config)
     eval_env = Environment(env.registry, env.config)
 
     train_pool = []

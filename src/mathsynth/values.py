@@ -7,6 +7,7 @@ that answer comparison can be plain string equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -355,14 +356,6 @@ def poly_eval(p, point: dict) -> Fraction:
     return total
 
 
-def poly_is_constant(p) -> bool:
-    return poly_degree(p) == 0
-
-
-def poly_constant(p) -> Fraction:
-    return p.get((), Fraction(0))
-
-
 # --- univariate helpers (coefficient lists, index = degree) ---------------
 
 
@@ -420,9 +413,7 @@ def rational_roots(coeffs):
         roots.append(Fraction(0))
         work = work[1:]
     while len(work) > 1:
-        scale = 1
-        for c in work:
-            scale = scale * c.denominator // _gcd_int(scale, c.denominator)
+        scale = math.lcm(*(c.denominator for c in work))
         ints = [int(c * scale) for c in work]
         a0, an = ints[0], ints[-1]
         if a0 == 0:  # should have been stripped
@@ -452,13 +443,6 @@ def _eval_coeffs(coeffs, x: Fraction) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a or 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from mathsynth.cli import ConfigError, load_config, main, split_config
+from mathsynth.cli import ConfigError, load_config, main
 from mathsynth.environment import Environment
+from mathsynth.operators import default_registry
 from mathsynth.problems import load_dataset_file
+from mathsynth.qlearning import TrainConfig, load_checkpoint
 
 
 def run(capsys, *argv):
@@ -21,11 +24,10 @@ def test_config_file_parsing(tmp_path):
         "total_steps = 500   # short\n"
         "n_inputs = 3\n"
     )
-    mapping = load_config(path)
-    env_cfg, train_cfg, _ = split_config(mapping)
-    assert train_cfg.modules == ("numbers__gcd",)
-    assert train_cfg.total_steps == 500
-    assert env_cfg.n_inputs == 3
+    cfg = TrainConfig.from_mapping(load_config(path))
+    assert cfg.modules == ("numbers__gcd",)
+    assert cfg.total_steps == 500
+    assert cfg.n_inputs == 3
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -39,7 +41,96 @@ def test_config_range_checks(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("gamma = 3.5\n")
     with pytest.raises(ConfigError):
-        split_config(load_config(path))
+        TrainConfig.from_mapping(load_config(path))
+
+
+TINY_RUN = (
+    "modules = numbers__is_prime\n"
+    "learning_rate = 0.05\n"
+    "batch_size = 8\n"
+    "init_steps = 60\n"
+    "total_steps = 120\n"
+    "train_problems_per_module = 10\n"
+    "eval_problems_per_module = 4\n"
+    "eval_interval = 60\n"
+    "feature_dim = 1024\n"
+    "target_sync = 20\n"
+)
+
+# every accepted key with a value it must reject, plus two keys that are not
+# accepted at all
+BAD_VALUES = [
+    ("n_inputs", "0"),
+    ("n_inputs", "two"),
+    ("max_nodes", "0"),
+    ("max_nodes", "-3"),
+    ("encoded_observations", "true"),  # the CLI has no BPE codec
+    ("encoded_observations", "maybe"),
+    ("max_question_tokens", "0"),
+    ("univariate_differentiate_only", "perhaps"),
+    ("modules", ""),
+    ("modules", "numbers__bogus"),
+    ("modules", "numbers__gcd,bogus"),
+    ("seed", "x"),
+    ("seed", "-1"),
+    ("gamma", "1.5"),
+    ("gamma", "nan"),
+    ("learning_rate", "0"),
+    ("learning_rate", "nan"),
+    ("learning_rate", "inf"),
+    ("batch_size", "0"),
+    ("target_sync", "0"),
+    ("epsilon_start", "1.5"),
+    ("epsilon_end", "0.9"),
+    ("epsilon_decrement", "-1"),
+    ("epsilon_decrement", "nan"),
+    ("buffer_capacity", "0"),
+    ("init_steps", "-5"),
+    ("init_steps", "many"),
+    ("total_steps", "0"),
+    ("updates_per_step", "0"),
+    ("updates_per_step", "-1"),
+    ("train_problems_per_module", "0"),
+    ("eval_problems_per_module", "0"),
+    ("eval_interval", "0"),
+    ("feature_dim", "0"),
+    ("feature_seed", "abc"),
+    ("priority_floor", "0"),
+    ("priority_floor", "-1"),
+    ("priority_floor", "nan"),
+    ("registry", "full"),
+    ("count", "7"),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_VALUES)
+def test_train_rejects_bad_config_value(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN + f"{key} = {value}\n")
+    out = tmp_path / "run"
+    code, _, err = run(capsys, "train", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err and "internal error" not in err
+    assert not (out / "checkpoint.npz").exists()
+
+
+def test_train_divergence_is_a_data_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "modules = numbers__is_prime\n"
+        "learning_rate = 1e18\n"  # finite, so it passes validation
+        "batch_size = 16\n"
+        "init_steps = 150\n"
+        "total_steps = 400\n"
+        "train_problems_per_module = 40\n"
+        "eval_problems_per_module = 10\n"
+        "feature_dim = 4096\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert err.startswith("error: non-finite loss at update ")
 
 
 def test_generate_writes_dataset_and_sidecar(tmp_path, capsys):
@@ -132,13 +223,25 @@ def test_episode_from_dataset_file(tmp_path, capsys):
     assert code == 1 and "out of range" in err
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["bogus-command"])
-    assert exc.value.code == 2
+def test_usage_error_exit_code(tmp_path):
+    for argv in (
+        ["bogus-command"],
+        ["train", "--seeds", "0", "--out", str(tmp_path)],
+        ["train", "--seeds", "-2", "--out", str(tmp_path)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_train_eval_resume_cycle(tmp_path, capsys):
+    # the second run changes the action space; eval must rebuild it from the checkpoint
+    for name, env_line in (("default", ""), ("two_inputs", "n_inputs = 2\n")):
+        _train_eval_resume(tmp_path / name, capsys, env_line)
+
+
+def _train_eval_resume(tmp_path, capsys, env_line):
+    tmp_path.mkdir()
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "modules = numbers__is_prime\n"
@@ -150,14 +253,18 @@ def test_train_eval_resume_cycle(tmp_path, capsys):
         "eval_problems_per_module = 8\n"
         "eval_interval = 150\n"
         "feature_dim = 4096\n"
-        "target_sync = 50\n"
+        "target_sync = 50\n" + env_line
     )
+    n_inputs = TrainConfig.from_mapping(load_config(cfg)).n_inputs
     out = tmp_path / "run"
     code, stdout, err = run(capsys, "train", "--config", str(cfg), "--out", str(out))
     assert code == 0, err
     metrics = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
     assert metrics and metrics[-1]["step"] >= 300
     assert (out / "checkpoint.npz").exists()
+    q, meta = load_checkpoint(out / "checkpoint.npz")
+    assert meta["env"]["n_inputs"] == n_inputs
+    assert q.n_actions == default_registry().n_ops + n_inputs
 
     code, stdout, err = run(
         capsys, "eval", "--checkpoint", str(out / "checkpoint.npz"),

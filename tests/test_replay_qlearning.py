@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,13 @@ def test_config_validation():
     cfg = TrainConfig.from_mapping({"modules": "numbers__gcd,numbers__lcm", "batch_size": "32"})
     assert cfg.modules == ("numbers__gcd", "numbers__lcm")
     assert cfg.batch_size == 32
+
+
+def test_priority_floor_must_be_positive():
+    # a zero floor used to pass validation and fail at the first zero TD error
+    with pytest.raises(ValueError):
+        TrainConfig.from_mapping({"priority_floor": "0"})
+    with pytest.raises(ValueError):
+        TrainConfig(priority_floor=0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(TrainConfig(), priority_floor=0.0)
