@@ -35,6 +35,8 @@ print(f"\nrandom rollouts, masked   : {masked}/2000 rewarded")
 print(f"random rollouts, unmasked : {unmasked}/2000 rewarded")
 
 # Bounded exhaustive search in lexicographic order finds a minimal graph.
+# Placements that leave more open slots than the depth limit can fill are
+# pruned before they are expanded.
 res = exhaustive_solve(env, gp.problem, max_nodes=3)
 print(f"\nexhaustive solution: {res.actions} "
-      f"({res.n_expanded} nodes expanded)")
+      f"({res.n_expanded} nodes expanded, {res.n_pruned} pruned)")

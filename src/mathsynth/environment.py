@@ -17,7 +17,7 @@ import numpy as np
 from .graph import ComputeGraph, StructuralError
 from .operators import Registry, default_registry
 from .parsing import BpeCodec, Observation, Problem, encode_observation
-from .values import ABSENT, EXPRESSION, free_symbols, is_subtype, render
+from .values import ABSENT, EXPRESSION, TypedValue, free_symbols, is_subtype, render
 
 
 class ConfigError(ValueError):
@@ -77,6 +77,12 @@ class ProblemRejected(ValueError):
     """Problem cannot be loaded under the current configuration."""
 
 
+def earns_reward(output: TypedValue, problem: Problem) -> bool:
+    """The reward rule: a graph's output earns 1 exactly when its canonical
+    rendering equals the problem's answer text."""
+    return render(output) == problem.answer.strip()
+
+
 def action_mask(registry: Registry, inputs, n_inputs: int, graph: ComputeGraph) -> np.ndarray:
     """Validity vector for the next action against a graph under
     construction: operators only at the root, then subtype checks against
@@ -103,6 +109,7 @@ class EpisodeState:
     graph: ComputeGraph
     history: list = field(default_factory=list)
     done: bool = False
+    first: Observation | None = None  # at reset: the question is encoded once per episode
 
 
 def is_multivariate_differentiate(problem: Problem) -> bool:
@@ -126,8 +133,14 @@ class Environment:
         self.registry = registry if registry is not None else default_registry()
         self.config = config if config is not None else EnvConfig()
         self.codec = codec
-        if self.config.encoded_observations and codec is None:
-            raise ValueError("encoded observations require a BPE codec")
+        if self.config.encoded_observations:
+            if codec is None:
+                raise ValueError("encoded observations require a BPE codec")
+            if codec.max_len > self.config.max_question_tokens:
+                raise ValueError(
+                    f"codec max_len {codec.max_len} exceeds max_question_tokens "
+                    f"{self.config.max_question_tokens}"
+                )
         self._state: EpisodeState | None = None
 
     @property
@@ -143,8 +156,8 @@ class Environment:
         return self._state
 
     def _observation(self) -> Observation:
-        codec = self.codec if self.config.encoded_observations else None
-        return encode_observation(codec, self._state.problem.question, self._state.history)
+        first = self._state.first
+        return Observation(first.question, tuple(self._state.history), first.encoded)
 
     def reset(self, problem: Problem) -> Observation:
         if len(problem.inputs) > self.config.n_inputs:
@@ -153,8 +166,11 @@ class Environment:
             )
         if self.config.univariate_differentiate_only and is_multivariate_differentiate(problem):
             raise ProblemRejected("multivariate calculus__differentiate problem filtered out")
-        self._state = EpisodeState(problem, ComputeGraph(max_nodes=self.config.max_nodes))
-        return self._observation()
+        codec = self.codec if self.config.encoded_observations else None
+        first = encode_observation(codec, problem.question, ())
+        graph = ComputeGraph(max_nodes=self.config.max_nodes)
+        self._state = EpisodeState(problem, graph, first=first)
+        return first
 
     def step(self, action: int):
         """Returns (observation, reward, done, info)."""
@@ -187,7 +203,7 @@ class Environment:
             if st.graph.is_complete:
                 st.done = True
                 output = st.graph.evaluate()
-                if render(output) == st.problem.answer.strip():
+                if earns_reward(output, st.problem):
                     reward = 1
             elif len(st.graph) >= self.config.max_nodes:
                 st.done = True

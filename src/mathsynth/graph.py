@@ -93,6 +93,24 @@ class ComputeGraph:
                 self.frontier.append((idx, slot))
         return self
 
+    def pop_node(self) -> "ComputeGraph":
+        """Undo the last add_node: drop the node and its open slots, and
+        reopen the parent slot it filled at the front of the frontier."""
+        if not self.nodes:
+            raise StructuralError("graph is empty")
+        node = self.nodes.pop()
+        for _ in node.children:
+            self.frontier.pop()
+        idx = len(self.nodes)
+        for parent_idx in range(idx - 1, -1, -1):
+            children = self.nodes[parent_idx].children
+            if idx in children:
+                slot = children.index(idx)
+                children[slot] = None
+                self.frontier.appendleft((parent_idx, slot))
+                break
+        return self
+
     def evaluate(self) -> TypedValue:
         """Bottom-up evaluation; incomplete graphs and type-violating
         placements compute Absent."""

@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .environment import Environment, action_mask
+from .environment import Environment, action_mask, earns_reward
 from .graph import ComputeGraph, StructuralError
 from .parsing import Problem
-from .values import render
 
 
 @dataclass
@@ -100,6 +99,7 @@ class SearchResult:
     n_complete: int  # complete masked graphs enumerated
     n_expanded: int  # nodes placed during the search
     budget_exhausted: bool = False
+    n_pruned: int = 0  # masked placements skipped because they could not complete
 
 
 def exhaustive_solve(
@@ -114,56 +114,73 @@ def exhaustive_solve(
     Returns the first rewarded sequence in iterative-deepening lexicographic
     order, or None.  With count_all, keeps enumerating after a solution so
     n_complete covers the whole masked space up to max_nodes.
+
+    Every open frontier slot needs one more node, so a placement after which
+    nodes plus open slots exceed the depth limit cannot complete: it is
+    skipped and counted in n_pruned, not in n_expanded, and is not charged
+    to the budget.  n_expanded counts only placements that can still
+    complete.  The search adds and pops nodes on one graph; the allowed
+    actions are taken from action_mask once per slot type.  Under iterative
+    deepening a complete graph smaller than the current limit was already
+    judged at its own limit, so it is counted again but not re-evaluated.
     """
     registry = env.registry
     n_inputs = env.config.n_inputs
     n_ops = registry.n_ops
     inputs = problem.inputs
-    answer = problem.answer.strip()
-    state = {"complete": 0, "expanded": 0, "solution": None, "budget_hit": False}
+    # per action: the node it places and the open slots it adds; masked
+    # enumeration never picks a None action
+    placements = [(spec, spec.arity) for spec in registry] + [(v, 0) for v in inputs]
+    allowed = {}  # next slot type (None at the root) -> masked-in actions
+    graph = ComputeGraph(max_nodes=max_nodes)
+    actions = []
+    state = {"complete": 0, "expanded": 0, "pruned": 0, "solution": None, "budget_hit": False}
 
-    def node_for(action: int):
-        if action < n_ops:
-            return registry[action]
-        i = action - n_ops
-        return inputs[i]  # masked enumeration never picks a None action
-
-    def dfs(graph: ComputeGraph, actions: list, limit: int) -> bool:
-        if graph.is_complete:
+    def dfs(limit: int) -> bool:
+        nodes, frontier = graph.nodes, graph.frontier
+        if nodes and not frontier:
             state["complete"] += 1
-            if state["solution"] is None and render(graph.evaluate()) == answer:
+            if (
+                state["solution"] is None
+                and (count_all or len(nodes) == limit)
+                and earns_reward(graph.evaluate(), problem)
+            ):
                 state["solution"] = tuple(actions)
             return state["solution"] is not None and not count_all
-        if len(graph.nodes) >= limit:
-            return False
-        mask = action_mask(registry, inputs, n_inputs, graph)
-        for action in range(n_ops + n_inputs):
-            if not mask[action]:
+        slot_type = graph.next_slot_type()
+        if slot_type not in allowed:
+            mask = action_mask(registry, inputs, n_inputs, graph)
+            allowed[slot_type] = [a for a in range(n_ops + n_inputs) if mask[a]]
+        # nodes plus open slots after a placement, before its own slots
+        committed = len(nodes) + len(frontier) if nodes else 1
+        for action in allowed[slot_type]:
+            node, arity = placements[action]
+            if committed + arity > limit:
+                state["pruned"] += 1
                 continue
             if budget is not None and state["expanded"] >= budget:
                 state["budget_hit"] = True
                 return True
             state["expanded"] += 1
-            child = graph.copy()
-            child.add_node(node_for(action))
+            graph.add_node(node)
             actions.append(action)
-            stop = dfs(child, actions, limit)
+            stop = dfs(limit)
             actions.pop()
+            graph.pop_node()
             if stop:
                 return True
         return False
 
     if count_all:
-        dfs(ComputeGraph(max_nodes=max_nodes), [], max_nodes)
+        dfs(max_nodes)
     else:
         for limit in range(1, max_nodes + 1):
-            if dfs(ComputeGraph(max_nodes=max_nodes), [], limit):
-                break
-            if state["budget_hit"]:
+            if dfs(limit):  # solved, or out of budget
                 break
     return SearchResult(
         actions=state["solution"],
         n_complete=state["complete"],
         n_expanded=state["expanded"],
         budget_exhausted=state["budget_hit"],
+        n_pruned=state["pruned"],
     )

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mathsynth.environment import EnvConfig, Environment, ProblemRejected
+from mathsynth.environment import EnvConfig, Environment, ProblemRejected, earns_reward
 from mathsynth.parsing import Problem, extract_inputs, train_bpe
 from mathsynth.problems import generate
-from mathsynth.values import VARIABLE
+from mathsynth.values import ABSENT, VARIABLE, expression, parse_expression
 
 
 def derivative_problem() -> Problem:
@@ -172,6 +172,38 @@ def test_encoded_observations():
     obs, _, _, info = env.step(5)
     assert obs.history == (5,)
     assert info["question"] == p.question  # raw text available regardless
+
+
+def test_earns_reward_compares_the_rendered_output_with_the_answer():
+    p = derivative_problem()
+    padded = Problem(p.question, " 12*k - 101\n", p.inputs, p.module)
+    assert earns_reward(expression(parse_expression("12*k - 101")), padded)
+    assert not earns_reward(expression(parse_expression("12*k + 101")), p)
+    assert not earns_reward(ABSENT, p)
+
+
+def test_question_is_encoded_once_per_episode(monkeypatch):
+    p = derivative_problem()
+    codec = train_bpe([p.question], vocab_size=40, max_len=80)
+    env = Environment(config=EnvConfig(encoded_observations=True), codec=codec)
+    calls = []
+    encode = codec.encode
+    monkeypatch.setattr(codec, "encode", lambda text: calls.append(text) or encode(text))
+    for _ in range(2):
+        first = env.reset(p)
+        obs, _, done, _ = env.step(5)
+        obs, _, done, _ = env.step(15)
+        assert done and obs.question == first.question == tuple(encode(p.question))
+    assert calls == [p.question, p.question]
+
+
+def test_codec_longer_than_max_question_tokens_is_rejected():
+    p = derivative_problem()
+    codec = train_bpe([p.question], vocab_size=40, max_len=80)
+    with pytest.raises(ValueError, match="max_question_tokens"):
+        Environment(config=EnvConfig(encoded_observations=True, max_question_tokens=79), codec=codec)
+    env = Environment(config=EnvConfig(encoded_observations=True, max_question_tokens=80), codec=codec)
+    assert len(env.reset(p).question) == 80
 
 
 def test_determinism_of_episode():

@@ -4,6 +4,7 @@ import pytest
 
 from mathsynth.graph import ComputeGraph, StructuralError, deserialize
 from mathsynth.operators import default_registry, full_registry
+from mathsynth.problems import SUPPORTED_MODULES, generate
 from mathsynth.values import (
     ABSENT,
     MathParseError,
@@ -53,6 +54,31 @@ def test_node_limit():
     g.add_node(value(4))
     with pytest.raises(StructuralError):
         g.add_node(value(6))
+
+
+def _snapshot(g):
+    return [(n.spec, n.value, list(n.children)) for n in g.nodes], list(g.frontier)
+
+
+@pytest.mark.parametrize("module", SUPPORTED_MODULES)
+def test_pop_node_undoes_add_node_at_every_prefix(module):
+    gp = generate(module, 1, 3)[0]
+    nodes = [REG[a] if a < REG.n_ops else gp.problem.inputs[a - REG.n_ops] for a in gp.truth_graph]
+    g = ComputeGraph()
+    prefixes = []
+    for node in nodes:
+        prefixes.append(_snapshot(g))
+        g.add_node(node).pop_node()
+        assert _snapshot(g) == prefixes[-1]
+        g.add_node(node)
+    assert g.is_complete
+    for before in reversed(prefixes):
+        assert _snapshot(g.pop_node()) == before
+
+
+def test_pop_node_on_an_empty_graph():
+    with pytest.raises(StructuralError):
+        ComputeGraph().pop_node()
 
 
 def test_breadth_first_slot_order():

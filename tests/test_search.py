@@ -1,9 +1,13 @@
 import random
 
-from mathsynth.environment import Environment
+import pytest
+
+from mathsynth.environment import Environment, action_mask
+from mathsynth.graph import ComputeGraph
 from mathsynth.parsing import Problem, extract_inputs
-from mathsynth.problems import generate
+from mathsynth.problems import SUPPORTED_MODULES, generate
 from mathsynth.search import exhaustive_solve, random_rollout
+from mathsynth.values import render
 
 
 def derivative_problem() -> Problem:
@@ -76,6 +80,63 @@ def test_exhaustive_budget_flag():
     gp = generate("algebra__linear_2d", 1, 6)[0]
     res = exhaustive_solve(env, gp.problem, max_nodes=6, budget=50)
     assert res.budget_exhausted and res.actions is None
+
+
+def reference_solve(env, problem, max_nodes, count_all=False):
+    """Plain copy-based, unpruned enumeration with a fresh mask at every
+    node: (first solution, complete graphs, placements)."""
+    n_ops, n_inputs = env.registry.n_ops, env.config.n_inputs
+    found = {"solution": None, "complete": 0, "expanded": 0}
+
+    def dfs(graph, actions, limit):
+        if graph.is_complete:
+            found["complete"] += 1
+            if found["solution"] is None and render(graph.evaluate()) == problem.answer.strip():
+                found["solution"] = tuple(actions)
+            return found["solution"] is not None and not count_all
+        if len(graph.nodes) >= limit:
+            return False
+        mask = action_mask(env.registry, problem.inputs, n_inputs, graph)
+        for action in range(n_ops + n_inputs):
+            if not mask[action]:
+                continue
+            found["expanded"] += 1
+            child = graph.copy()
+            node = env.registry[action] if action < n_ops else problem.inputs[action - n_ops]
+            child.add_node(node)
+            if dfs(child, actions + [action], limit):
+                return True
+        return False
+
+    limits = [max_nodes] if count_all else range(1, max_nodes + 1)
+    for limit in limits:
+        if dfs(ComputeGraph(max_nodes=max_nodes), [], limit):
+            break
+    return found["solution"], found["complete"], found["expanded"]
+
+
+@pytest.mark.parametrize("module", SUPPORTED_MODULES)
+def test_pruned_search_matches_the_unpruned_reference(module):
+    env = Environment()
+    problem = generate(module, 1, 11)[0].problem
+    for count_all in (False, True):
+        solution, complete, expanded = reference_solve(env, problem, 5, count_all)
+        res = exhaustive_solve(env, problem, max_nodes=5, count_all=count_all)
+        assert res.actions == solution
+        assert res.n_complete == complete
+        assert res.n_expanded <= expanded
+
+
+def test_search_reports_its_prunes():
+    env = Environment()
+    p = derivative_problem()
+    res = exhaustive_solve(env, p, max_nodes=4, count_all=True)
+    _, complete, expanded = reference_solve(env, p, 4, count_all=True)
+    assert res.n_complete == complete
+    assert 0 < res.n_expanded < expanded and res.n_pruned > 0
+    # every operator opens a slot, so no root placement fits in one node
+    res = exhaustive_solve(env, p, max_nodes=1, count_all=True)
+    assert (res.n_complete, res.n_expanded, res.n_pruned) == (0, 0, env.n_ops)
 
 
 def test_count_all_masked_space_is_small():
