@@ -53,8 +53,15 @@ from .qlearning import (
     td_target,
     train,
 )
-from .replay import ReplayBuffer, Trajectory, Transition
-from .search import EpisodeRecord, SearchResult, exhaustive_solve, random_rollout, run_episode
+from .replay import ReplayBuffer
+from .search import (
+    EpisodeRecord,
+    SearchResult,
+    Step,
+    exhaustive_solve,
+    random_rollout,
+    run_episode,
+)
 from .values import (
     ABSENT,
     TypedValue,

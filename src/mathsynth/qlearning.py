@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .environment import ConfigError, EnvConfig, Environment
 from .operators import Registry, default_registry
 from .parsing import Observation
 from .problems import SUPPORTED_MODULES, generate
-from .replay import ReplayBuffer, Trajectory, Transition
-from .search import Step, random_rollout, run_episode
+from .replay import ReplayBuffer
+from .search import Step, random_action, random_rollout, run_episode
 
 
 class TrainingDiverged(RuntimeError):
@@ -88,13 +88,14 @@ class QFunction:
         self.weights[:] = other.weights
 
 
-def td_target(transition: Transition, gamma: float, online: QFunction, target: QFunction) -> float:
+def td_target(step: Step, gamma: float, online: QFunction, target: QFunction) -> float:
     """Double-DQN target: r, or r + gamma * target-value at the online
-    argmax over unmasked next actions."""
-    if transition.done:
-        return float(transition.reward)
-    best = online.greedy_action(transition.next_feats, transition.next_mask)
-    return float(transition.reward) + gamma * target.q_value(transition.next_feats, best)
+    argmax over unmasked next actions.  The step's observations are feature
+    indices, as the replay buffer stores them."""
+    if step.done:
+        return float(step.reward)
+    best = online.greedy_action(step.next_observation, step.next_mask)
+    return float(step.reward) + gamma * target.q_value(step.next_observation, best)
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +199,6 @@ class TrainResult:
 _EVAL_SEED_OFFSET = 10_000_019  # held-out problems come from a disjoint seed
 
 
-def _make_transition(step, q: QFunction, priority: float) -> Transition:
-    return Transition(
-        obs_feats=q.features(step.observation),
-        action=step.action,
-        reward=step.reward,
-        next_feats=q.features(step.next_observation),
-        done=step.done,
-        next_mask=None if step.next_mask is None else np.array(step.next_mask, dtype=bool),
-        priority=priority,
-    )
-
-
 def evaluate(q: QFunction, env: Environment, problems) -> dict:
     """Mean greedy (epsilon = 0) masked reward per module."""
     totals: dict = {}
@@ -226,11 +215,11 @@ def _batch_update(q, target, buffer, cfg, nrng, update_count):
     idx, batch = buffer.sample(cfg.batch_size, nrng)
     deltas = np.empty(len(batch))
     scale = cfg.learning_rate / len(batch)
-    for k, tr in enumerate(batch):
-        tgt = td_target(tr, cfg.gamma, q, target)
-        delta = tgt - q.q_value(tr.obs_feats, tr.action)
+    for k, step in enumerate(batch):
+        tgt = td_target(step, cfg.gamma, q, target)
+        delta = tgt - q.q_value(step.observation, step.action)
         deltas[k] = delta
-        np.add.at(q.weights[tr.action], tr.obs_feats, scale * delta)
+        np.add.at(q.weights[step.action], step.observation, scale * delta)
     loss = float(np.mean(deltas**2))
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss at update {update_count}")
@@ -238,9 +227,9 @@ def _batch_update(q, target, buffer, cfg, nrng, update_count):
     extra = buffer.random_indices(cfg.batch_size, nrng)
     all_idx = np.concatenate([idx, extra])
     new_prios = []
-    for tr in buffer.transitions_at(all_idx):
-        tgt = td_target(tr, cfg.gamma, q, target)
-        new_prios.append(abs(tgt - q.q_value(tr.obs_feats, tr.action)) + cfg.priority_floor)
+    for step in buffer.steps_at(all_idx):
+        tgt = td_target(step, cfg.gamma, q, target)
+        new_prios.append(abs(tgt - q.q_value(step.observation, step.action)) + cfg.priority_floor)
     buffer.update_priorities(all_idx, new_prios)
     return loss
 
@@ -281,6 +270,12 @@ def train(
         q, env_steps = resume[0], int(resume[1])
         if q.n_actions != env.n_actions:
             raise ValueError("resumed checkpoint does not match the action space")
+        for key in ("feature_dim", "feature_seed"):
+            if getattr(q, key) != getattr(config, key):
+                raise ConfigError(
+                    f"{key} is {getattr(config, key)} but the resumed checkpoint has "
+                    f"{getattr(q, key)}"
+                )
     else:
         q = QFunction(env.n_actions, config.feature_dim, config.feature_seed)
         env_steps = 0
@@ -300,10 +295,17 @@ def train(
         if metrics_sink is not None:
             metrics_sink(record)
 
-    def store_episode(record):
-        prio = buffer.max_priority()
-        transitions = tuple(_make_transition(s, q, prio) for s in record.steps)
-        buffer.insert(Trajectory(transitions, positive=record.reward > 0))
+    def store(steps):
+        # step t+1 observes what step t led to, so each observation is hashed once
+        feats = [q.features(steps[0].observation)]
+        feats.extend(q.features(s.next_observation) for s in steps)
+        buffer.insert(
+            [
+                replace(s, observation=feats[t], next_observation=feats[t + 1])
+                for t, s in enumerate(steps)
+            ],
+            positive=any(s.reward for s in steps),
+        )
 
     def maybe_eval(force=False):
         nonlocal last_eval_step
@@ -324,7 +326,7 @@ def train(
     while env_steps < init_budget:
         record = random_rollout(env, rng.choice(train_pool), rng, respect_mask=True)
         env_steps += len(record.steps)
-        store_episode(record)
+        store(record.steps)
 
     # phase 2: epsilon-greedy acting with interleaved batch updates
     while env_steps < config.total_steps:
@@ -336,8 +338,7 @@ def train(
         while not done and env_steps < config.total_steps:
             epsilon = schedule.value(env_steps)
             if rng.random() < epsilon:
-                valid = [i for i in range(env.n_actions) if mask[i]]
-                action = rng.choice(valid or list(range(env.n_actions)))
+                action = random_action(mask, env.n_actions, rng)
             else:
                 action = q.greedy_action(q.features(obs), mask)
             next_obs, reward, done, info = env.step(action)
@@ -354,9 +355,7 @@ def train(
                         target.copy_weights_from(q)
             maybe_eval()
         if steps:
-            prio = buffer.max_priority()
-            transitions = tuple(_make_transition(s, q, prio) for s in steps)
-            buffer.insert(Trajectory(transitions, positive=any(s.reward for s in steps)))
+            store(steps)
 
     maybe_eval(force=True)
     return TrainResult(q, metrics, env_steps, updates, registry, config)

@@ -6,124 +6,90 @@ priorities and sampling probability directly proportional to priority.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class Transition:
-    obs_feats: object  # feature indices of the observation
-    action: int
-    reward: float
-    next_feats: object  # feature indices of the next observation
-    done: bool
-    next_mask: object  # validity vector at the next state, None if terminal
-    priority: float = 1.0
-
-
-@dataclass
-class Trajectory:
-    transitions: tuple
-    positive: bool
-
-    def __len__(self):
-        return len(self.transitions)
-
-
 class ReplayBuffer:
-    """Insert whole trajectories; sample steps with replacement, with
-    probability proportional to each step's priority.
+    """Insert whole trajectories of steps; sample steps with replacement,
+    with probability proportional to each step's priority.
 
-    Sampled indices stay valid until the next insert (the training loop
-    samples, updates priorities, then inserts new experience).
+    The steps sit in one list, the positive store oldest to newest and then
+    the zero store, with their priorities at the same positions in one
+    array.  Sampled indices stay valid until the next insert (the training
+    loop samples, updates priorities, then inserts new experience).
     """
 
     def __init__(self, capacity_per_store: int = 25000):
         self.capacity_per_store = capacity_per_store
-        self._pos: deque = deque()
-        self._zero: deque = deque()
-        self._steps = {True: 0, False: 0}  # per-store step counts
-        self._flat: list = []
+        self._lengths = {True: deque(), False: deque()}  # trajectory lengths, oldest first
+        self._held = {True: 0, False: 0}  # steps per store
+        self._steps: list = []
         self._prios: np.ndarray = np.zeros(0)
-        self._dirty = True
 
     # -- content ------------------------------------------------------------
 
     @property
     def n_positive(self) -> int:
-        return len(self._pos)
+        return len(self._lengths[True])
 
     @property
     def n_zero(self) -> int:
-        return len(self._zero)
+        return len(self._lengths[False])
 
     def __len__(self):
-        return self._steps[True] + self._steps[False]
+        return len(self._steps)
 
     def max_priority(self) -> float:
-        self._refresh()
         if len(self._prios) == 0:
             return 1.0
         return float(self._prios.max())
 
     def _evict_oldest(self, positive: bool):
-        store = self._pos if positive else self._zero
-        gone = store.popleft()
-        self._steps[positive] -= len(gone)
+        n = self._lengths[positive].popleft()
+        self._held[positive] -= n
+        start = 0 if positive else self._held[True]
+        del self._steps[start : start + n]
+        self._prios = np.concatenate((self._prios[:start], self._prios[start + n :]))
 
-    def insert(self, trajectory: Trajectory):
-        store = self._pos if trajectory.positive else self._zero
-        store.append(trajectory)
-        self._steps[trajectory.positive] += len(trajectory)
-        while self._steps[trajectory.positive] > self.capacity_per_store and len(store) > 1:
-            self._evict_oldest(trajectory.positive)
+    def insert(self, steps, positive: bool):
+        """Store one trajectory; its steps take the current max priority."""
+        at = self._held[True] if positive else len(self._steps)
+        new = np.full(len(steps), self.max_priority())
+        self._steps[at:at] = steps
+        self._prios = np.concatenate((self._prios[:at], new, self._prios[at:]))
+        self._lengths[positive].append(len(steps))
+        self._held[positive] += len(steps)
+        while self._held[positive] > self.capacity_per_store and len(self._lengths[positive]) > 1:
+            self._evict_oldest(positive)
         # keep the trajectory-count ratio positive:zero at 1:1 (within one)
-        while abs(len(self._pos) - len(self._zero)) > 1:
-            self._evict_oldest(len(self._pos) > len(self._zero))
-        self._dirty = True
+        while abs(self.n_positive - self.n_zero) > 1:
+            self._evict_oldest(self.n_positive > self.n_zero)
 
     # -- sampling -----------------------------------------------------------
 
-    def _refresh(self):
-        if not self._dirty:
-            return
-        self._flat = [
-            tr
-            for store in (self._pos, self._zero)
-            for traj in store
-            for tr in traj.transitions
-        ]
-        self._prios = np.array([tr.priority for tr in self._flat], dtype=float)
-        self._dirty = False
-
     def sample(self, batch_size: int, rng: np.random.Generator):
-        """(indices, transitions) drawn with replacement, p proportional to
+        """(indices, steps) drawn with replacement, p proportional to
         priority."""
-        self._refresh()
-        if not self._flat:
+        if not self._steps:
             raise ValueError("cannot sample from an empty buffer")
         p = self._prios / self._prios.sum()
-        idx = rng.choice(len(self._flat), size=batch_size, replace=True, p=p)
-        return idx, [self._flat[i] for i in idx]
+        idx = rng.choice(len(self._steps), size=batch_size, replace=True, p=p)
+        return idx, self.steps_at(idx)
 
     def random_indices(self, k: int, rng: np.random.Generator):
         """Uniform sample used for keeping stale priorities current."""
-        self._refresh()
-        if not self._flat:
+        if not self._steps:
             return np.zeros(0, dtype=int)
-        k = min(k, len(self._flat))
-        return rng.choice(len(self._flat), size=k, replace=False)
+        k = min(k, len(self._steps))
+        return rng.choice(len(self._steps), size=k, replace=False)
 
-    def transitions_at(self, indices):
-        self._refresh()
-        return [self._flat[i] for i in indices]
+    def steps_at(self, indices):
+        return [self._steps[i] for i in indices]
 
     def update_priorities(self, indices, priorities):
-        self._refresh()
         for i, p in zip(indices, priorities):
             p = float(p)
             if p <= 0:
                 raise ValueError("priorities must be positive")
-            self._flat[i].priority = p
             self._prios[i] = p

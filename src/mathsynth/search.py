@@ -18,6 +18,9 @@ from .parsing import Problem
 
 @dataclass
 class Step:
+    """One environment step.  Training stores it in the replay buffer with
+    both observations replaced by their hashed feature indices."""
+
     observation: object
     action: int
     reward: int
@@ -31,11 +34,15 @@ class EpisodeRecord:
     """One finished episode plus its structured log form."""
 
     problem: Problem
-    actions: list
     reward: int
     steps: list = field(default_factory=list)
     graph_text: str = ""
     output: str = "None"
+    actions: list | None = None  # the steps' actions unless given
+
+    def __post_init__(self):
+        if self.actions is None:
+            self.actions = [s.action for s in self.steps]
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -53,7 +60,7 @@ class EpisodeRecord:
 def run_episode(env: Environment, problem: Problem, policy) -> EpisodeRecord:
     """Drive one episode with policy(observation, mask) -> action."""
     obs = env.reset(problem)
-    actions, steps = [], []
+    steps = []
     reward, done = 0, False
     mask = env.compute_mask()
     while not done:
@@ -61,7 +68,6 @@ def run_episode(env: Environment, problem: Problem, policy) -> EpisodeRecord:
         next_obs, reward, done, info = env.step(action)
         next_mask = info["mask"]
         steps.append(Step(obs, action, reward, next_obs, done, next_mask))
-        actions.append(action)
         obs, mask = next_obs, next_mask
     graph = env.state.graph
     try:
@@ -70,7 +76,6 @@ def run_episode(env: Environment, problem: Problem, policy) -> EpisodeRecord:
         graph_text = graph.partial_text()
     return EpisodeRecord(
         problem=problem,
-        actions=actions,
         reward=reward,
         steps=steps,
         graph_text=graph_text,
@@ -78,17 +83,19 @@ def run_episode(env: Environment, problem: Problem, policy) -> EpisodeRecord:
     )
 
 
+def random_action(mask, n_actions: int, rng) -> int:
+    """Uniform over the unmasked actions, or over all actions when the mask
+    is None or masks everything (a slot nothing can fill)."""
+    valid = [] if mask is None else [i for i in range(n_actions) if mask[i]]
+    return rng.choice(valid or list(range(n_actions)))
+
+
 def random_rollout(env: Environment, problem: Problem, rng, respect_mask: bool = True) -> EpisodeRecord:
     """Uniform-random episode; with respect_mask, actions are drawn from the
     unmasked set (falling back to all actions if a slot is unfillable)."""
-    n_actions = env.n_actions
 
     def policy(obs, mask):
-        if respect_mask and mask is not None and mask.any():
-            choices = [i for i in range(n_actions) if mask[i]]
-        else:
-            choices = range(n_actions)
-        return rng.choice(list(choices))
+        return random_action(mask if respect_mask else None, env.n_actions, rng)
 
     return run_episode(env, problem, policy)
 

@@ -23,8 +23,8 @@ from mathsynth.qlearning import (
     td_target,
     train,
 )
-from mathsynth.replay import ReplayBuffer, Trajectory, Transition
-from mathsynth.search import exhaustive_solve, random_rollout
+from mathsynth.replay import ReplayBuffer
+from mathsynth.search import Step, exhaustive_solve, random_rollout
 from mathsynth.values import ABSENT, as_poly, parse_expression, render, value
 
 SEED = 20240 + 1
@@ -257,20 +257,21 @@ def test_criterion_08_rl_machinery_properties(criterion_report):
     feats = np.array([5])
     online.weights[2, 5], online.weights[1, 5] = 10.0, 1.0
     target.weights[2, 5], target.weights[1, 5] = 0.25, 9.0
-    tr = Transition(feats, 0, 0.0, feats, False, np.ones(3, dtype=bool), 1.0)
-    double = td_target(tr, 1.0, online, target)
-    single = td_target(tr, 1.0, target, target)
+    step = Step(feats, 0, 0.0, feats, False, np.ones(3, dtype=bool))
+    double = td_target(step, 1.0, online, target)
+    single = td_target(step, 1.0, target, target)
     decoupled = double == 0.25 and single == 9.0 and double != single
 
     # sampling frequencies within 5% of priority proportions over 1e5 draws
     buf = ReplayBuffer()
     prios = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
-    mk = lambda p: Transition(np.array([0]), 0, 0.0, np.array([0]), True, None, p)
-    buf.insert(Trajectory(tuple(mk(p) for p in prios[:3]), positive=False))
-    buf.insert(Trajectory(tuple(mk(p) for p in prios[3:]), positive=True))
+    mk = lambda: Step(np.array([0]), 0, 0.0, np.array([0]), True, None)
+    buf.insert([mk() for _ in prios[:3]], positive=False)
+    buf.insert([mk() for _ in prios[3:]], positive=True)
+    stored = np.array(prios[3:] + prios[:3])  # the positive store comes first
+    buf.update_priorities(range(6), stored)
     idx, _ = buf.sample(100_000, np.random.default_rng(0))
     freqs = np.bincount(idx, minlength=6) / 100_000
-    stored = np.array([t.priority for t in buf.transitions_at(range(6))])
     expected = stored / stored.sum()
     proportional = (np.abs(freqs - expected) / expected).max() < 0.05
 
@@ -280,7 +281,7 @@ def test_criterion_08_rl_machinery_properties(criterion_report):
     rng = random.Random(2)
     pattern = [False] * 40 + [True] * 40 + [rng.random() < 0.9 for _ in range(200)]
     for positive in pattern:
-        buf2.insert(Trajectory((mk(1.0),), positive=positive))
+        buf2.insert([mk()], positive=positive)
         balanced &= abs(buf2.n_positive - buf2.n_zero) <= 1
 
     schedule = EpsilonSchedule()

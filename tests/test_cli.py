@@ -286,6 +286,27 @@ def _train_eval_resume(tmp_path, capsys, env_line):
     assert all(m["step"] >= 300 for m in resumed)
 
 
+@pytest.mark.parametrize("line", ["feature_dim = 4096\n", "feature_seed = 7\n"])
+def test_resume_rejects_other_feature_settings(tmp_path, capsys, line):
+    # the resumed weights keep their own feature settings, so a config that
+    # asks for others would be silently ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN)
+    first = tmp_path / "run"
+    code, _, err = run(capsys, "train", "--config", str(cfg), "--out", str(first))
+    assert code == 0, err
+    cfg.write_text(TINY_RUN.replace("feature_dim = 1024\n", "") + line)
+    out = tmp_path / "resumed"
+    code, _, err = run(
+        capsys, "train", "--config", str(cfg), "--out", str(out),
+        "--checkpoint", str(first / "checkpoint.npz"),
+    )
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err and "internal error" not in err
+    assert not (out / "checkpoint.npz").exists()
+
+
 def test_train_multi_seed_reports_the_median_trial(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

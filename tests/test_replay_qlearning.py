@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -16,20 +18,18 @@ from mathsynth.qlearning import (
     td_target,
     train,
 )
-from mathsynth.replay import ReplayBuffer, Trajectory, Transition
+from mathsynth.replay import ReplayBuffer
+from mathsynth.search import Step
 
 
-def _transition(reward=0.0, done=True, priority=1.0, action=0):
+def _step(reward=0.0, done=True, action=0):
     feats = np.array([1, 2, 3])
     mask = None if done else np.ones(18, dtype=bool)
-    return Transition(feats, action, reward, feats, done, mask, priority)
+    return Step(feats, action, reward, feats, done, mask)
 
 
-def _trajectory(positive, n=3, priority=1.0):
-    return Trajectory(
-        tuple(_transition(reward=float(positive), priority=priority) for _ in range(n)),
-        positive=positive,
-    )
+def _trajectory(positive, n=3):
+    return [_step(reward=float(positive)) for _ in range(n)]
 
 
 def test_epsilon_schedule_hits_the_floor_at_14000():
@@ -45,42 +45,42 @@ def test_epsilon_schedule_hits_the_floor_at_14000():
 def test_balance_stays_one_to_one_under_adversarial_inserts():
     buf = ReplayBuffer()
     for _ in range(50):  # zeros flood first
-        buf.insert(_trajectory(False))
+        buf.insert(_trajectory(False), positive=False)
         assert abs(buf.n_positive - buf.n_zero) <= 1
     for _ in range(50):  # then positives flood
-        buf.insert(_trajectory(True))
+        buf.insert(_trajectory(True), positive=True)
         assert abs(buf.n_positive - buf.n_zero) <= 1
-    import random
-
     rng = random.Random(0)
     for _ in range(300):
-        buf.insert(_trajectory(rng.random() < 0.8))
+        positive = rng.random() < 0.8
+        buf.insert(_trajectory(positive), positive)
         assert abs(buf.n_positive - buf.n_zero) <= 1
 
 
 def test_sampling_is_proportional_to_priority():
     buf = ReplayBuffer()
-    buf.insert(Trajectory((_transition(priority=1.0), _transition(priority=3.0)), positive=False))
-    buf.insert(Trajectory((_transition(priority=6.0),), positive=True))
+    buf.insert([_step(), _step()], positive=False)
+    buf.insert([_step()], positive=True)
+    prios = np.array([6.0, 1.0, 3.0])  # the positive store comes first
+    buf.update_priorities(range(3), prios)
     rng = np.random.default_rng(0)
     idx, _ = buf.sample(20_000, rng)
     counts = np.bincount(idx, minlength=3)
     freqs = counts / counts.sum()
-    prios = np.array([tr.priority for tr in buf.transitions_at(range(3))])
     expected = prios / prios.sum()
     assert np.abs(freqs - expected).max() < 0.02
 
 
 def test_priorities_must_be_positive():
     buf = ReplayBuffer()
-    buf.insert(_trajectory(True, n=1))
+    buf.insert(_trajectory(True, n=1), positive=True)
     with pytest.raises(ValueError):
         buf.update_priorities([0], [0.0])
 
 
 def test_priority_updates_shift_sampling():
     buf = ReplayBuffer()
-    buf.insert(Trajectory((_transition(), _transition()), positive=True))
+    buf.insert([_step(), _step()], positive=True)
     buf.update_priorities([0, 1], [1e-6, 1.0])
     rng = np.random.default_rng(1)
     idx, _ = buf.sample(1000, rng)
@@ -90,10 +90,126 @@ def test_priority_updates_shift_sampling():
 def test_capacity_eviction_drops_oldest():
     buf = ReplayBuffer(capacity_per_store=6)
     for _ in range(5):
-        buf.insert(_trajectory(False, n=3))
-        buf.insert(_trajectory(True, n=3))
+        buf.insert(_trajectory(False, n=3), positive=False)
+        buf.insert(_trajectory(True, n=3), positive=True)
     assert len(buf) <= 12  # 6 per store
     assert abs(buf.n_positive - buf.n_zero) <= 1
+
+
+class _RebuildBuffer:
+    """Reference: the buffer as it was when each trajectory sat in its store
+    with a priority on every step, and the flat list and priority array were
+    rebuilt after every insert."""
+
+    def __init__(self, capacity_per_store):
+        self.capacity_per_store = capacity_per_store
+        self._pos, self._zero = deque(), deque()
+        self._steps = {True: 0, False: 0}
+        self._flat, self._prios, self._dirty = [], np.zeros(0), True
+
+    n_positive = property(lambda self: len(self._pos))
+    n_zero = property(lambda self: len(self._zero))
+
+    def __len__(self):
+        return self._steps[True] + self._steps[False]
+
+    def max_priority(self):
+        self._refresh()
+        return float(self._prios.max()) if len(self._prios) else 1.0
+
+    def _evict_oldest(self, positive):
+        store = self._pos if positive else self._zero
+        self._steps[positive] -= len(store.popleft())
+
+    def insert(self, steps, positive):
+        prio = self.max_priority()
+        store = self._pos if positive else self._zero
+        store.append([[step, prio] for step in steps])
+        self._steps[positive] += len(steps)
+        while self._steps[positive] > self.capacity_per_store and len(store) > 1:
+            self._evict_oldest(positive)
+        while abs(len(self._pos) - len(self._zero)) > 1:
+            self._evict_oldest(len(self._pos) > len(self._zero))
+        self._dirty = True
+
+    def _refresh(self):
+        if self._dirty:
+            trajs = [*self._pos, *self._zero]
+            self._flat = [item for traj in trajs for item in traj]
+            self._prios = np.array([p for _, p in self._flat], dtype=float)
+            self._dirty = False
+
+    def sample(self, batch_size, rng):
+        self._refresh()
+        p = self._prios / self._prios.sum()
+        idx = rng.choice(len(self._flat), size=batch_size, replace=True, p=p)
+        return idx, [self._flat[i][0] for i in idx]
+
+    def random_indices(self, k, rng):
+        self._refresh()
+        return rng.choice(len(self._flat), size=min(k, len(self._flat)), replace=False)
+
+    def update_priorities(self, indices, priorities):
+        self._refresh()
+        for i, p in zip(indices, priorities):
+            self._flat[i][1] = float(p)
+            self._prios[i] = float(p)
+
+
+def test_buffer_matches_the_rebuild_on_insert_reference():
+    rng = random.Random(5)
+    new, ref = ReplayBuffer(capacity_per_store=12), _RebuildBuffer(capacity_per_store=12)
+    for t in range(600):
+        bias = (0.1, 0.9, 0.5)[t // 50 % 3]  # runs of one sign force balance evictions
+        positive = rng.random() < bias
+        # mostly short trajectories; now and then one longer than a whole store
+        n = 15 if rng.random() < 0.03 else rng.randint(1, 6)
+        steps = [_step(reward=float(positive), action=t) for _ in range(n)]
+        new.insert(steps, positive)
+        ref.insert(steps, positive)
+        assert (len(new), new.n_positive, new.n_zero, new.max_priority()) == (
+            len(ref), ref.n_positive, ref.n_zero, ref.max_priority()
+        )
+        seed = rng.randrange(2**32)
+        idx, items = new.sample(8, np.random.default_rng(seed))
+        ref_idx, ref_items = ref.sample(8, np.random.default_rng(seed))
+        assert np.array_equal(idx, ref_idx)
+        assert all(a is b for a, b in zip(items, ref_items))
+        extra = new.random_indices(5, np.random.default_rng(seed + 1))
+        assert np.array_equal(extra, ref.random_indices(5, np.random.default_rng(seed + 1)))
+        all_idx = np.concatenate([idx, extra])
+        prios = [rng.uniform(0.01, 10.0) for _ in all_idx]
+        new.update_priorities(all_idx, prios)
+        ref.update_priorities(all_idx, prios)
+
+
+def test_storing_an_episode_hashes_each_observation_once(monkeypatch):
+    calls = []
+    inserted = []  # (steps, features calls since the previous insert)
+    features, insert = QFunction.features, ReplayBuffer.insert
+
+    def counted_features(self, obs):
+        calls.append(obs)
+        return features(self, obs)
+
+    def recorded_insert(self, steps, positive):
+        assert all(a.next_observation is b.observation for a, b in zip(steps, steps[1:]))
+        inserted.append((len(steps), len(calls)))
+        calls.clear()
+        return insert(self, steps, positive)
+
+    monkeypatch.setattr(QFunction, "features", counted_features)
+    monkeypatch.setattr(ReplayBuffer, "insert", recorded_insert)
+    # epsilon 1 acts at random in both phases and nothing is evaluated before
+    # the end, so every features call between two inserts comes from storing
+    train(
+        _tiny_config(
+            init_steps=100, total_steps=300, epsilon_start=1.0, epsilon_end=1.0,
+            eval_interval=10_000,
+        )
+    )
+    assert len(inserted) > 10
+    assert all(n_calls == n + 1 for n, n_calls in inserted)
 
 
 def test_double_dqn_target_decouples_selection_from_evaluation():
@@ -105,18 +221,18 @@ def test_double_dqn_target_decouples_selection_from_evaluation():
     online.weights[1, 5] = 1.0
     target.weights[2, 5] = 0.25
     target.weights[1, 5] = 9.0
-    tr = Transition(feats, 0, 0.0, feats, False, np.ones(3, dtype=bool), 1.0)
-    got = td_target(tr, gamma=1.0, online=online, target=target)
+    step = Step(feats, 0, 0.0, feats, False, np.ones(3, dtype=bool))
+    got = td_target(step, gamma=1.0, online=online, target=target)
     assert got == 0.25  # evaluated on the target at the online argmax
-    single_network = td_target(tr, gamma=1.0, online=target, target=target)
+    single_network = td_target(step, gamma=1.0, online=target, target=target)
     assert single_network == 9.0  # plain target would differ
 
 
 def test_td_target_terminal_and_degenerate_gamma():
-    done = _transition(reward=1.0, done=True)
+    done = _step(reward=1.0, done=True)
     q = QFunction(3, 64, 0)
     assert td_target(done, 0.99, q, q) == 1.0
-    ongoing = Transition(np.array([1]), 0, 0.5, np.array([2]), False, np.ones(3, bool), 1.0)
+    ongoing = Step(np.array([1]), 0, 0.5, np.array([2]), False, np.ones(3, bool))
     assert td_target(ongoing, 0.0, q, q) == 0.5
 
 
