@@ -1,9 +1,13 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
-from mathsynth.operators import default_registry, full_registry
+from mathsynth.operators import ALL_OPERATOR_NAMES, default_registry, full_registry
+from mathsynth.problems import SUPPORTED_MODULES, differentiate_wrt_problems, generate
 from mathsynth.values import (
     ABSENT,
+    ABSENT_KIND,
     EQUATION,
     Call,
     Num,
@@ -300,3 +304,68 @@ def test_factor_expands_back_small():
             continue
         expanded = as_poly(parse_expression(render(out).replace(" ", "")))
         assert expanded == as_poly(e)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: every operator on every well-typed argument tuple from a
+# fixed pool; the digest guards refactors of the symbolic layer
+
+POOL_SIZE = 152
+EVALUATIONS = 9310
+OPERATOR_DIGEST = "473fad3859b2ea498e2d36d87198070e97a8cd1c77018a8e781d89df93347f0c"
+
+
+def _operator_pool():
+    pool, seen = [], set()
+
+    def grow(v):
+        if v.kind != ABSENT_KIND and v not in seen:
+            seen.add(v)
+            pool.append(v)
+
+    for module in SUPPORTED_MODULES:
+        for gp in generate(module, 2, 5):
+            for v in gp.problem.inputs:
+                grow(v)
+    for gp in differentiate_wrt_problems(2, 5, REG, order=2, multivariate=True):
+        for v in gp.problem.inputs:
+            grow(v)
+    # a function head and an isolated variable, so make_function and
+    # extract_isolated_variable have something to return
+    grow(expr("f(x)"))
+    grow(eq("x = 3"))
+    for name in (
+        "append_to_empty_list", "factor", "differentiate", "simplify",
+        "extract_isolated_variable", "prime_factors", "is_prime",
+    ):
+        spec = op(name)
+        for v in list(pool):
+            if is_subtype(v.kind, spec.params[0][1]):
+                grow(spec.eval(v))
+    for name in ("solve_system", "append"):
+        for args in _typed_tuples(op(name), list(pool)):
+            grow(op(name).eval(*args))
+    return pool
+
+
+def _typed_tuples(spec, pool):
+    return product(*([v for v in pool if is_subtype(v.kind, t)] for _, t in spec.params))
+
+
+def test_operator_outputs_are_pinned():
+    pool = _operator_pool()
+    digest = hashlib.sha256()
+    evaluations = 0
+    produced = set()
+    for spec in REG:
+        for args in _typed_tuples(spec, pool):
+            out = spec.eval(*args)
+            line = "|".join([spec.name, *map(repr, args), out.kind, render(out)])
+            digest.update(line.encode() + b"\n")
+            evaluations += 1
+            if out is not ABSENT:
+                produced.add(spec.name)
+    assert len(pool) == POOL_SIZE
+    assert evaluations == EVALUATIONS
+    assert produced == set(ALL_OPERATOR_NAMES)
+    assert digest.hexdigest() == OPERATOR_DIGEST

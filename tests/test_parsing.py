@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mathsynth.parsing import (
@@ -160,3 +162,20 @@ def test_observation_encoded_mode():
     obs = encode_observation(codec, "abc def", [1])
     assert obs.encoded and len(obs.question) == 10 and obs.history == (1,)
     assert obs == Observation(codec.encode("abc def"), (1,), True)
+
+
+BPE_DIGEST = "13e1307ac8b427f40a1d96b369d0cfc0c0467281b2b967ee5abfd66d3d9182c9"
+
+
+def test_bpe_training_and_encoding_are_pinned():
+    # merges, vocabulary and every encoding over all modules; the digest
+    # guards refactors of the merge loop
+    questions = [gp.problem.question for m in SUPPORTED_MODULES for gp in generate(m, 100, 41)]
+    base = len({c for q in questions for c in q})
+    codec = train_bpe(questions, vocab_size=base + 32, max_len=max(map(len, questions)))
+    digest = hashlib.sha256(repr((codec.merges, sorted(codec.vocab.items()))).encode())
+    for q in questions:
+        digest.update(repr(codec.encode(q)).encode())
+    assert len(questions) == 1100
+    assert len(codec.merges) == 32
+    assert digest.hexdigest() == BPE_DIGEST
