@@ -136,13 +136,22 @@ def cmd_episode(args) -> int:
 
 
 def _metrics_writer(path):
-    fh = open(path, "w")
+    """(sink, close) for a JSON-lines file that is opened on the first record,
+    so a run that train() rejects leaves no file behind."""
+    fh = None
 
     def sink(record):
+        nonlocal fh
+        if fh is None:
+            fh = open(path, "w")
         fh.write(json.dumps(record) + "\n")
         fh.flush()
 
-    return sink, fh
+    def close():
+        if fh is not None:
+            fh.close()
+
+    return sink, close
 
 
 def cmd_train(args) -> int:
@@ -162,7 +171,7 @@ def cmd_train(args) -> int:
     for seed in seeds:
         cfg = replace(train_cfg, seed=seed)
         suffix = f"_seed{seed}" if len(seeds) > 1 else ""
-        sink, fh = _metrics_writer(out_dir / f"metrics{suffix}.jsonl")
+        sink, close = _metrics_writer(out_dir / f"metrics{suffix}.jsonl")
         resume = None
         if args.checkpoint:
             q0, meta = load_checkpoint(args.checkpoint, registry)
@@ -170,7 +179,7 @@ def cmd_train(args) -> int:
         try:
             result = train(cfg, registry=registry, metrics_sink=sink, resume=resume)
         finally:
-            fh.close()
+            close()
         ckpt = out_dir / f"checkpoint{suffix}.npz"
         save_checkpoint(
             ckpt,

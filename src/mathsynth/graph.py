@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .operators import OperatorSpec, Registry
 from .values import (
     ABSENT,
+    TYPE_TAGS,
     MathParseError,
     TypedValue,
     is_subtype,
@@ -205,8 +206,6 @@ def _parse_tree(text: str, pos: int, registry: Registry):
             raise MathParseError("expected ')'", pos)
         return (spec, children), pos + 1
     # input leaf: Kind('rendered text')
-    from .values import TYPE_TAGS
-
     if name not in TYPE_TAGS:
         raise MathParseError(f"unknown operator or value kind: {name!r}", pos)
     pos = end + 1

@@ -10,10 +10,11 @@ first appearance.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import product
 
-from .graph import ComputeGraph
+from .graph import ComputeGraph, deserialize
 from .operators import OperatorSpec, Registry
 from .values import OBJECT, is_subtype
 
@@ -197,10 +198,6 @@ def register(mined: MinedOperator, registry: Registry, name: str | None = None):
 
 def mine_episode_log(lines, registry: Registry, min_support: int = 10, min_size: int = 2) -> list:
     """Mine from structured episode-log JSON lines (reward-1 records only)."""
-    import json
-
-    from .graph import deserialize
-
     graphs = []
     for line in lines:
         line = line.strip()

@@ -29,6 +29,7 @@ from .values import (
     Num,
     Sym,
     TypedValue,
+    add,
     as_expr,
     as_poly,
     boolean,
@@ -37,6 +38,8 @@ from .values import (
     equation_list,
     free_symbols,
     function,
+    function_head,
+    map_children,
     mul,
     poly_degree,
     poly_derivative,
@@ -46,7 +49,6 @@ from .values import (
     pow_,
     rational_roots,
     replace_subtree,
-    substitute,
     typed_from_expr,
     value,
     value_set,
@@ -191,13 +193,9 @@ def _op_solve_system(system):
         if eq.kind != EQUATION:
             return ABSENT
         lhs, rhs = eq.payload
-        pl, pr = as_poly(lhs), as_poly(rhs)
-        if pl is None or pr is None:
+        diff = as_poly(add(lhs, mul(Num(-1), rhs)))
+        if diff is None:
             return ABSENT
-        diff = dict(pl)
-        for m, c in pr.items():
-            diff[m] = diff.get(m, Fraction(0)) - c
-        diff = {m: c for m, c in diff.items() if c != 0} or {(): Fraction(0)}
         polys.append(diff)
     names = sorted(set().union(*(set(poly_vars(p)) for p in polys)))
     if not names:
@@ -355,8 +353,7 @@ def _op_evaluate_function(function_definition, function_argument):
         if arg.fname != name or len(arg.args) != 1:
             return ABSENT
         arg = arg.args[0]
-    substituted = substitute(body, param, arg)
-    p = as_poly(substituted)
+    p = as_poly(replace_subtree(body, Sym(param), arg))
     if p is None or poly_degree(p) != 0:
         return ABSENT
     return value(p.get((), Fraction(0)))
@@ -391,49 +388,40 @@ def _op_make_equation(e1, e2):
     return equation(lhs, rhs)
 
 
+def _map_exprs(v, f):
+    """v with f applied to every expression it holds; kinds without
+    expressions come back unchanged."""
+    k = v.kind
+    if k in (EXPRESSION, VALUE, RATIONAL, VARIABLE):
+        return typed_from_expr(f(as_expr(v)))
+    if k == EQUATION:
+        lhs, rhs = v.payload
+        return equation(f(lhs), f(rhs))
+    if k == FUNCTION:
+        name, param, body = v.payload
+        return function(name, param, f(body))
+    if k == LIST_OF_EQUATION:
+        return equation_list(_map_exprs(eq, f) for eq in v.payload)
+    return v
+
+
 def _simplify_expr(e):
     p = as_poly(e)
     if p is not None:
         return poly_to_expr(p)
-    if isinstance(e, Call):
-        return Call(e.fname, tuple(_simplify_expr(a) for a in e.args))
-    if isinstance(e, (Num, Sym)):
-        return e
-    # rebuild composite nodes around simplified children
-    from .values import Add, Mul, Pow, add
-
-    if isinstance(e, Add):
-        return add(*(_simplify_expr(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(Num(e.coeff), *(_simplify_expr(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(_simplify_expr(e.base), e.exp)
-    return e
+    return map_children(e, _simplify_expr)
 
 
 def _op_simplify(inpt):
-    k = inpt.kind
-    if k in (EXPRESSION, VALUE, RATIONAL, VARIABLE):
-        return typed_from_expr(_simplify_expr(as_expr(inpt)))
-    if k == EQUATION:
-        lhs, rhs = inpt.payload
-        return equation(_simplify_expr(lhs), _simplify_expr(rhs))
-    if k == FUNCTION:
-        name, param, body = inpt.payload
-        return function(name, param, _simplify_expr(body))
-    if k == LIST_OF_EQUATION:
-        return equation_list(_op_simplify(eq) for eq in inpt.payload)
-    return inpt
+    return _map_exprs(inpt, _simplify_expr)
 
 
 def _op_make_function(e1, e2):
-    head = as_expr(e1)
+    head = function_head(as_expr(e1))
     body = as_expr(e2)
-    if body is None or not isinstance(head, Call):
+    if head is None or body is None:
         return ABSENT
-    if len(head.args) != 1 or not isinstance(head.args[0], Sym):
-        return ABSENT
-    return function(head.fname, head.args[0].name, body)
+    return function(*head, body)
 
 
 def _op_replace_arg(fn, var):
@@ -445,7 +433,7 @@ def _op_replace_arg(fn, var):
         return fn
     if new in free_symbols(body):
         return ABSENT  # renaming would capture an existing variable
-    return function(name, new, substitute(body, param, Sym(new)))
+    return function(name, new, replace_subtree(body, Sym(param), Sym(new)))
 
 
 def _op_lookup_value_equation(mapping, key):
@@ -473,23 +461,7 @@ def _op_substitution_left_to_right(arb, eq):
     if eq.kind != EQUATION:
         return ABSENT
     pattern, replacement = eq.payload
-    k = arb.kind
-    if k in (EXPRESSION, VALUE, RATIONAL, VARIABLE):
-        return typed_from_expr(replace_subtree(as_expr(arb), pattern, replacement))
-    if k == EQUATION:
-        lhs, rhs = arb.payload
-        return equation(
-            replace_subtree(lhs, pattern, replacement),
-            replace_subtree(rhs, pattern, replacement),
-        )
-    if k == FUNCTION:
-        name, param, body = arb.payload
-        return function(name, param, replace_subtree(body, pattern, replacement))
-    if k == LIST_OF_EQUATION:
-        return equation_list(
-            _op_substitution_left_to_right(e, eq) for e in arb.payload
-        )
-    return arb
+    return _map_exprs(arb, lambda e: replace_subtree(e, pattern, replacement))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ question ("wrt x" after "w(x)", but not the article "a").
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .values import (
     EQUATION,
     EXPRESSION,
     FUNCTION,
-    Call,
     MathParseError,
     Sym,
     TypedValue,
@@ -24,6 +24,7 @@ from .values import (
     equation,
     free_symbols,
     function,
+    function_head,
     parse_value,
     variable,
 )
@@ -70,9 +71,8 @@ def _fragment_variables(v: TypedValue) -> set:
 def _type_fragment(text: str, lhs, rhs) -> TypedValue:
     """Typed value for a parsed fragment; rhs None means bare expression."""
     if rhs is not None:
-        if isinstance(lhs, Call) and len(lhs.args) == 1 and isinstance(lhs.args[0], Sym):
-            return function(lhs.fname, lhs.args[0].name, rhs)
-        return equation(lhs, rhs)
+        head = function_head(lhs)
+        return equation(lhs, rhs) if head is None else function(*head, rhs)
     return parse_value(text)
 
 
@@ -189,17 +189,7 @@ class BpeCodec:
     def tokenize(self, text: str) -> list:
         tokens = list(text)
         for left, right in self.merges:
-            merged = left + right
-            out = []
-            k = 0
-            while k < len(tokens):
-                if k + 1 < len(tokens) and tokens[k] == left and tokens[k + 1] == right:
-                    out.append(merged)
-                    k += 2
-                else:
-                    out.append(tokens[k])
-                    k += 1
-            tokens = out
+            tokens = _merge(tokens, left, right)
         return tokens
 
     def encode(self, text: str) -> list:
@@ -268,6 +258,22 @@ class BpeCodec:
         return cls(merges=merges, vocab=vocab, pad_index=pad_index, max_len=max_len)
 
 
+def _merge(tokens, left, right) -> list:
+    """tokens with each (left, right) pair, scanned left to right without
+    overlap, joined into one token."""
+    merged = left + right
+    out = []
+    k = 0
+    while k < len(tokens):
+        if k + 1 < len(tokens) and tokens[k] == left and tokens[k + 1] == right:
+            out.append(merged)
+            k += 2
+        else:
+            out.append(tokens[k])
+            k += 1
+    return out
+
+
 def train_bpe(corpus, vocab_size: int, max_len: int = 128) -> BpeCodec:
     """Greedy highest-frequency pair merging; ties break lexicographically,
     so training is deterministic given the corpus."""
@@ -282,28 +288,16 @@ def train_bpe(corpus, vocab_size: int, max_len: int = 128) -> BpeCodec:
     sequences = [list(q) for q in corpus]
     merges = []
     for _ in range(vocab_size - len(base)):
-        counts = {}
+        counts = Counter()
         for seq in sequences:
-            for a, b in zip(seq, seq[1:]):
-                counts[(a, b)] = counts.get((a, b), 0) + 1
+            counts.update(zip(seq, seq[1:]))
         if not counts:
             break
         best_count = max(counts.values())
         pair = min(p for p, c in counts.items() if c == best_count)
         merges.append(pair)
-        left, right = pair
-        merged = left + right
         for s, seq in enumerate(sequences):
-            out = []
-            k = 0
-            while k < len(seq):
-                if k + 1 < len(seq) and seq[k] == left and seq[k + 1] == right:
-                    out.append(merged)
-                    k += 2
-                else:
-                    out.append(seq[k])
-                    k += 1
-            sequences[s] = out
+            sequences[s] = _merge(seq, *pair)
     vocab = {tok: i for i, tok in enumerate(base + [l + r for l, r in merges])}
     return BpeCodec(merges=merges, vocab=vocab, pad_index=len(vocab), max_len=max_len)
 

@@ -207,39 +207,36 @@ def free_symbols(e) -> set:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def substitute(e, name: str, replacement):
-    """Replace every occurrence of the symbol `name` by `replacement`."""
-    if isinstance(e, Num):
+def map_children(e, f):
+    """Rebuild e through the normalizing constructors from f applied to each
+    child; leaves come back unchanged."""
+    if isinstance(e, (Num, Sym)):
         return e
-    if isinstance(e, Sym):
-        return replacement if e.name == name else e
     if isinstance(e, Add):
-        return add(*(substitute(t, name, replacement) for t in e.terms))
+        return add(*map(f, e.terms))
     if isinstance(e, Mul):
-        return mul(Num(e.coeff), *(substitute(f, name, replacement) for f in e.factors))
+        return mul(Num(e.coeff), *map(f, e.factors))
     if isinstance(e, Pow):
-        return pow_(substitute(e.base, name, replacement), e.exp)
+        return pow_(f(e.base), e.exp)
     if isinstance(e, Call):
-        return Call(e.fname, tuple(substitute(a, name, replacement) for a in e.args))
+        return Call(e.fname, tuple(map(f, e.args)))
     raise TypeError(f"not an expression: {e!r}")
 
 
 def replace_subtree(e, pattern, replacement):
     """Replace every subtree structurally equal to `pattern` (no rescan
-    inside replacements)."""
+    inside replacements); with pattern Sym(name) this substitutes a symbol."""
     if e == pattern:
         return replacement
-    if isinstance(e, (Num, Sym)):
-        return e
-    if isinstance(e, Add):
-        return add(*(replace_subtree(t, pattern, replacement) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(Num(e.coeff), *(replace_subtree(f, pattern, replacement) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(replace_subtree(e.base, pattern, replacement), e.exp)
-    if isinstance(e, Call):
-        return Call(e.fname, tuple(replace_subtree(a, pattern, replacement) for a in e.args))
-    raise TypeError(f"not an expression: {e!r}")
+    return map_children(e, lambda child: replace_subtree(child, pattern, replacement))
+
+
+def function_head(e):
+    """(name, param) when e is a call on one bare symbol, as in the head of
+    `f(x) = ...`, else None."""
+    if isinstance(e, Call) and len(e.args) == 1 and isinstance(e.args[0], Sym):
+        return e.fname, e.args[0].name
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -774,9 +771,6 @@ def parse_expression(text: str):
     return e
 
 
-_FUNCTION_HEAD_KINDS = (Call,)
-
-
 def parse_value(text: str, expected_kind: str | None = None) -> TypedValue:
     """Parse canonical text into the most specific TypedValue; the optional
     expected_kind disambiguates renders that collide across kinds (a bare
@@ -803,8 +797,9 @@ def _parse_value_inner(text: str, expected_kind: str | None) -> TypedValue:
         return _parse_equation_list(text)
     if text.startswith("{"):
         return _parse_map(text)
-    if _top_level_commas(text):
-        items = [parse_expression(part) for part in _split_top_level(text)]
+    parts = _split_top_level(text)
+    if len(parts) > 1:
+        items = [parse_expression(part) for part in parts]
         if not all(isinstance(i, Num) for i in items):
             raise MathParseError("set elements must be numeric", 0)
         return value_set(i.value for i in items)
@@ -812,13 +807,9 @@ def _parse_value_inner(text: str, expected_kind: str | None) -> TypedValue:
         lhs_text, _, rhs_text = text.partition("=")
         lhs = parse_expression(lhs_text)
         rhs = parse_expression(rhs_text)
-        if (
-            isinstance(lhs, Call)
-            and len(lhs.args) == 1
-            and isinstance(lhs.args[0], Sym)
-            and expected_kind != EQUATION
-        ):
-            return function(lhs.fname, lhs.args[0].name, rhs)
+        head = function_head(lhs)
+        if head is not None and expected_kind != EQUATION:
+            return function(*head, rhs)
         return equation(lhs, rhs)
     e = parse_expression(text)
     if isinstance(e, Num):
@@ -834,18 +825,6 @@ def _parse_value_inner(text: str, expected_kind: str | None) -> TypedValue:
             return expression(e)
         return variable(e.name)
     return expression(e)
-
-
-def _top_level_commas(text: str) -> bool:
-    depth = 0
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return True
-    return False
 
 
 def _split_top_level(text: str) -> list:

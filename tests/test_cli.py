@@ -305,6 +305,7 @@ def test_resume_rejects_other_feature_settings(tmp_path, capsys, line):
     assert "error:" in err
     assert "Traceback" not in err and "internal error" not in err
     assert not (out / "checkpoint.npz").exists()
+    assert not (out / "metrics.jsonl").exists()
 
 
 def test_train_multi_seed_reports_the_median_trial(tmp_path, capsys):

@@ -23,7 +23,7 @@ from mathsynth.values import (
     poly_to_coeffs,
     rational,
     render,
-    substitute,
+    replace_subtree,
     value,
     value_set,
     variable,
@@ -268,7 +268,7 @@ def _derivative_at(e, x0: Fraction) -> Fraction:
     names = sorted({v for m in p for v, _ in m})
     var = names[0] if names else "x"
     point = f"h + {x0}" if x0 >= 0 else f"h - {-x0}"
-    shifted = substitute(e, var, parse_expression(point))
+    shifted = replace_subtree(e, Sym(var), parse_expression(point))
     diff = as_poly(shifted)
     base = poly_eval(p, {var: x0})
     diff[()] = diff.get((), Fraction(0)) - base
