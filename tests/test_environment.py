@@ -1,9 +1,13 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
 from mathsynth.environment import EnvConfig, Environment, ProblemRejected, earns_reward
 from mathsynth.parsing import Problem, extract_inputs, train_bpe
-from mathsynth.problems import generate
+from mathsynth.problems import SUPPORTED_MODULES, generate
+from mathsynth.search import random_action
 from mathsynth.values import ABSENT, VARIABLE, expression, parse_expression
 
 
@@ -222,3 +226,36 @@ def test_determinism_of_episode():
         return out
 
     assert run() == run()
+
+
+EPISODE_DIGEST = "5415f482ce94da13ded22532d834cfa13bf059f8197d1e4d167b4b1f7c976c6c"
+
+
+def test_episode_texts_outputs_and_rewards_are_pinned():
+    # the graph text after every step, the final output and the reward of
+    # truth-graph replays and seeded masked and unmasked rollouts; the digest
+    # guards refactors of the graph
+    env = Environment()
+    rng = random.Random(17)
+    digest = hashlib.sha256()
+    episodes = rewarded = 0
+    for module in SUPPORTED_MODULES:
+        for gp in generate(module, 20, 29):
+            truth = iter(gp.truth_graph)
+            policies = [
+                lambda mask: next(truth),
+                lambda mask: random_action(mask, env.n_actions, rng),
+                lambda mask: random_action(None, env.n_actions, rng),
+            ]
+            for policy in policies:
+                env.reset(gp.problem)
+                mask, done = env.compute_mask(), False
+                while not done:
+                    _, reward, done, info = env.step(policy(mask))
+                    mask = info["mask"]
+                    digest.update(f"{info['graph']}\n".encode())
+                digest.update(f"{info['output']}|{reward}\n".encode())
+                episodes += 1
+                rewarded += reward
+    assert episodes == 660 and rewarded >= 220
+    assert digest.hexdigest() == EPISODE_DIGEST

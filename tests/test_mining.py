@@ -177,3 +177,13 @@ def test_mine_episode_log_filters_rewarded_lines():
     lines.append('{"question": "x", "actions": [], "graph": "", "output": "None", "reward": 0}')
     mined = mine_episode_log(lines, REG, min_support=10, min_size=2)
     assert mined[0].text == "differentiate_wrt(differentiate_wrt(p0,p1),p1)"
+
+
+def test_mined_templates_on_the_criterion_9_corpus_are_pinned():
+    # the acceptance corpus (SEED + 6 in tests/test_acceptance.py); guards
+    # refactors of the graph that mining walks
+    mined = mine(rewarded_graphs(30, 20247), min_support=1, min_size=1)
+    assert [(m.text, m.support, m.param_types) for m in mined] == [
+        ("differentiate_wrt(p0,p1)", 60, ("Expression", "Variable")),
+        ("differentiate_wrt(differentiate_wrt(p0,p1),p1)", 30, ("Expression", "Variable")),
+    ]

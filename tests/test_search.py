@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -158,3 +159,19 @@ def test_episode_record_log_line():
     assert data["actions"] == list(record.actions)
     assert data["reward"] in (0, 1)
     assert "graph" in data and "output" in data
+
+
+SEARCH_DIGEST = "838677761d1c05ef3fca21d98e750028a34796a30b45a5a3fad302cfbba8b502"
+
+
+def test_search_results_are_pinned():
+    # first solution and every count at depth 6 in both modes; the digest
+    # guards refactors of the graph and of the search
+    env = Environment()
+    digest = hashlib.sha256()
+    for module in SUPPORTED_MODULES:
+        problem = generate(module, 1, 23)[0].problem
+        for count_all in (False, True):
+            res = exhaustive_solve(env, problem, max_nodes=6, count_all=count_all)
+            digest.update(repr((res.actions, res.n_complete, res.n_expanded, res.n_pruned)).encode())
+    assert digest.hexdigest() == SEARCH_DIGEST
