@@ -86,7 +86,7 @@ def earns_reward(output: TypedValue, problem: Problem) -> bool:
 def action_mask(registry: Registry, inputs, n_inputs: int, graph: ComputeGraph) -> np.ndarray:
     """Validity vector for the next action against a graph under
     construction: operators only at the root, then subtype checks against
-    the next frontier slot; input positions past the problem's inputs are
+    the next open slot; input positions past the problem's inputs are
     always False."""
     n_ops = registry.n_ops
     mask = np.zeros(n_ops + n_inputs, dtype=bool)
@@ -168,7 +168,7 @@ class Environment:
             raise ProblemRejected("multivariate calculus__differentiate problem filtered out")
         codec = self.codec if self.config.encoded_observations else None
         first = encode_observation(codec, problem.question, ())
-        graph = ComputeGraph(max_nodes=self.config.max_nodes)
+        graph = ComputeGraph()
         self._state = EpisodeState(problem, graph, first=first)
         return first
 

@@ -1,15 +1,12 @@
 """Compute graphs: rooted operator trees built breadth-first from action
 sequences, evaluated bottom-up with Absent propagation.
 
-The frontier is a FIFO queue of unfilled parameter slots; placing an
-operator enqueues its slots at the back, so a fixed action sequence always
-produces the same graph.
+Placing an operator opens one slot per parameter, and slots are filled in
+the order they were opened, so node k > 0 always fills the (k - 1)-th slot
+and a fixed action sequence always produces the same graph.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass
 
 from .operators import OperatorSpec, Registry
 from .values import (
@@ -24,92 +21,70 @@ from .values import (
 
 
 class StructuralError(ValueError):
-    """Invalid graph construction (input at root, node limit exceeded)."""
-
-
-@dataclass
-class _Node:
-    spec: OperatorSpec | None  # None for input nodes
-    value: TypedValue | None
-    children: list  # node indices, one per parameter slot
-
-    @property
-    def is_operator(self) -> bool:
-        return self.spec is not None
-
-    def static_type(self) -> str:
-        return self.spec.return_type if self.spec else self.value.kind
+    """Invalid graph construction or text (input at root, too many nodes)."""
 
 
 class ComputeGraph:
-    """Partially or fully built compute graph (max_nodes default 7)."""
+    """Partially or fully built compute graph.
 
-    def __init__(self, max_nodes: int = 7):
-        self.max_nodes = max_nodes
-        self.nodes: list[_Node] = []
-        self.frontier: deque = deque()  # (node_index, slot_index)
+    nodes holds each placed OperatorSpec or input TypedValue, first_slot the
+    index of each node's first slot, and slots the (name, type) parameter
+    entry of every slot opened so far.  Node k > 0 fills slots[k - 1], so
+    the open slots are slots[len(nodes) - 1:].
+    """
+
+    def __init__(self):
+        self.nodes: list = []
+        self.first_slot: list[int] = []
+        self.slots: list[tuple] = []
 
     def __len__(self):
         return len(self.nodes)
 
     def copy(self) -> "ComputeGraph":
-        out = ComputeGraph(max_nodes=self.max_nodes)
-        out.nodes = [_Node(n.spec, n.value, list(n.children)) for n in self.nodes]
-        out.frontier = deque(self.frontier)
+        out = ComputeGraph()
+        out.nodes, out.slots = list(self.nodes), list(self.slots)
+        out.first_slot = list(self.first_slot)
         return out
 
     @property
     def is_complete(self) -> bool:
-        return bool(self.nodes) and not self.frontier
+        return len(self.slots) < len(self.nodes)
 
     def next_slot_type(self) -> str | None:
         """Parameter type of the slot the next action will fill, or None at
-        the root."""
-        if not self.frontier:
-            return None
-        node_idx, slot_idx = self.frontier[0]
-        return self.nodes[node_idx].spec.params[slot_idx][1]
+        the root and on a complete graph."""
+        n = len(self.nodes)
+        return self.slots[n - 1][1] if 0 < n <= len(self.slots) else None
+
+    def children(self, idx: int) -> range:
+        """Indices of the nodes that fill node idx's slots, in parameter
+        order; an index of len(self) or more is a slot still open."""
+        first = self.first_slot
+        end = first[idx + 1] if idx + 1 < len(first) else len(self.slots)
+        return range(first[idx] + 1, end + 1)
 
     def add_node(self, action) -> "ComputeGraph":
         """Place an OperatorSpec or an input TypedValue into the earliest
-        frontier slot (or as root)."""
-        if len(self.nodes) >= self.max_nodes:
-            raise StructuralError(f"node limit of {self.max_nodes} exceeded")
+        open slot (or as root)."""
         if not self.nodes:
             if not isinstance(action, OperatorSpec):
                 raise StructuralError("the root node must be an operator")
-        elif not self.frontier:
+        elif self.is_complete:
             raise StructuralError("graph is already complete")
+        self.nodes.append(action)
+        self.first_slot.append(len(self.slots))
         if isinstance(action, OperatorSpec):
-            node = _Node(action, None, [None] * action.arity)
-        else:
-            node = _Node(None, action, [])
-        idx = len(self.nodes)
-        self.nodes.append(node)
-        if idx > 0:
-            parent_idx, slot_idx = self.frontier.popleft()
-            self.nodes[parent_idx].children[slot_idx] = idx
-        if node.is_operator:
-            for slot in range(node.spec.arity):
-                self.frontier.append((idx, slot))
+            self.slots.extend(action.params)
         return self
 
     def pop_node(self) -> "ComputeGraph":
-        """Undo the last add_node: drop the node and its open slots, and
-        reopen the parent slot it filled at the front of the frontier."""
+        """Undo the last add_node: drop the node and the slots it opened,
+        which reopens the slot it filled."""
         if not self.nodes:
             raise StructuralError("graph is empty")
-        node = self.nodes.pop()
-        for _ in node.children:
-            self.frontier.pop()
-        idx = len(self.nodes)
-        for parent_idx in range(idx - 1, -1, -1):
-            children = self.nodes[parent_idx].children
-            if idx in children:
-                slot = children.index(idx)
-                children[slot] = None
-                self.frontier.appendleft((parent_idx, slot))
-                break
+        self.nodes.pop()
+        del self.slots[self.first_slot.pop() :]
         return self
 
     def evaluate(self) -> TypedValue:
@@ -121,28 +96,25 @@ class ComputeGraph:
 
     def _eval_node(self, idx: int) -> TypedValue:
         node = self.nodes[idx]
-        if not node.is_operator:
-            return node.value
+        if not isinstance(node, OperatorSpec):
+            return node
         args = []
-        for slot, child_idx in enumerate(node.children):
+        for child_idx in self.children(idx):
             child = self.nodes[child_idx]
-            required = node.spec.params[slot][1]
+            kind = child.return_type if isinstance(child, OperatorSpec) else child.kind
             # the same subtype check the mask applies at placement time
-            if not is_subtype(child.static_type(), required):
-                args.append(ABSENT)
-            else:
+            if is_subtype(kind, self.slots[child_idx - 1][1]):
                 args.append(self._eval_node(child_idx))
-        return node.spec.eval(*args)
+            else:
+                args.append(ABSENT)
+        return node.eval(*args)
 
     # -- text form ----------------------------------------------------------
 
     def serialize(self) -> str:
-        """Nested functional notation; requires a complete operator-rooted
-        graph."""
+        """Nested functional notation; requires a complete graph."""
         if not self.is_complete:
             raise StructuralError("cannot serialize an incomplete graph")
-        if not self.nodes[0].is_operator:
-            raise StructuralError("cannot serialize an input-only graph")
         return self._node_text(0, placeholder=None)
 
     def partial_text(self) -> str:
@@ -153,27 +125,29 @@ class ComputeGraph:
 
     def _node_text(self, idx: int, placeholder: str | None) -> str:
         node = self.nodes[idx]
-        if not node.is_operator:
-            return f"{node.value.kind}('{render(node.value)}')"
+        if not isinstance(node, OperatorSpec):
+            return f"{node.kind}('{render(node)}')"
+        # the slot range inline rather than children(): this runs on every
+        # environment step
+        n = len(self.nodes)
+        start = self.first_slot[idx] + 1
         parts = []
-        for child_idx in node.children:
-            if child_idx is None:
-                parts.append(placeholder)
-            else:
-                parts.append(self._node_text(child_idx, placeholder))
-        return f"{node.spec.name}({','.join(parts)})"
+        for c in range(start, start + node.arity):
+            parts.append(self._node_text(c, placeholder) if c < n else placeholder)
+        return f"{node.name}({','.join(parts)})"
 
 
 def deserialize(text: str, registry: Registry, max_nodes: int = 64) -> ComputeGraph:
     """Parse the nested functional notation back into a graph (round-trip
-    of serialize)."""
-    tree, pos = _parse_tree(text, 0, registry)
+    of serialize).  A text of more than max_nodes nodes raises
+    StructuralError as soon as the parser reaches its node max_nodes + 1,
+    which also bounds the parser's recursion depth."""
+    tree, pos, _ = _parse_tree(text, 0, registry, max_nodes)
     if pos != len(text):
         raise MathParseError("trailing input after graph", pos)
-    graph = ComputeGraph(max_nodes=max_nodes)
-    queue = deque([tree])  # replay in breadth-first order
-    while queue:
-        action, children = queue.popleft()
+    graph = ComputeGraph()
+    queue = [tree]  # replayed in breadth-first order: the loop reaches appended trees
+    for action, children in queue:
         graph.add_node(action)
         queue.extend(children)
     if not graph.is_complete:
@@ -181,8 +155,12 @@ def deserialize(text: str, registry: Registry, max_nodes: int = 64) -> ComputeGr
     return graph
 
 
-def _parse_tree(text: str, pos: int, registry: Registry):
-    """Returns ((action, child trees), new position)."""
+def _parse_tree(text: str, pos: int, registry: Registry, budget: int):
+    """Returns ((action, child trees), new position, nodes still allowed
+    after this subtree); budget is the number of nodes still allowed."""
+    if budget < 1:
+        raise StructuralError(f"graph text exceeds the node limit at position {pos}")
+    budget -= 1
     end = pos
     while end < len(text) and (text[end].isalnum() or text[end] == "_"):
         end += 1
@@ -200,11 +178,11 @@ def _parse_tree(text: str, pos: int, registry: Registry):
                 if pos >= len(text) or text[pos] != ",":
                     raise MathParseError("expected ','", pos)
                 pos += 1
-            sub, pos = _parse_tree(text, pos, registry)
+            sub, pos, budget = _parse_tree(text, pos, registry, budget)
             children.append(sub)
         if pos >= len(text) or text[pos] != ")":
             raise MathParseError("expected ')'", pos)
-        return (spec, children), pos + 1
+        return (spec, children), pos + 1, budget
     # input leaf: Kind('rendered text')
     if name not in TYPE_TAGS:
         raise MathParseError(f"unknown operator or value kind: {name!r}", pos)
@@ -219,4 +197,4 @@ def _parse_tree(text: str, pos: int, registry: Registry):
     pos = close + 1
     if pos >= len(text) or text[pos] != ")":
         raise MathParseError("expected ')'", pos)
-    return (parse_value(payload, expected_kind=name), []), pos + 1
+    return (parse_value(payload, expected_kind=name), []), pos + 1, budget

@@ -114,12 +114,10 @@ def _patterns_at(graph: ComputeGraph, idx: int):
     """All patterns rooted at operator node idx: (structure, leaves) pairs,
     where structure entries are ("leaf", child_idx) or nested tuples, and
     leaves is the DFS list of cut child indices."""
-    node = graph.nodes[idx]
     per_child = []
-    for child_idx in node.children:
-        child = graph.nodes[child_idx]
+    for child_idx in graph.children(idx):
         options = [("leaf", child_idx)]
-        if child.is_operator:
+        if isinstance(graph.nodes[child_idx], OperatorSpec):
             options.extend(_patterns_at(graph, child_idx))
         per_child.append(options)
     return [("node", idx, combo) for combo in product(*per_child)]
@@ -135,7 +133,7 @@ def _to_template(graph: ComputeGraph, structure, leaf_map: dict):
         return leaf_map[key]
     _, idx, combo = structure
     children = tuple(_to_template(graph, c, leaf_map) for c in combo)
-    return TemplateNode(graph.nodes[idx].spec, children)
+    return TemplateNode(graph.nodes[idx], children)
 
 
 def mine(rewarded_graphs, min_support: int = 10, min_size: int = 2) -> list:
@@ -145,7 +143,7 @@ def mine(rewarded_graphs, min_support: int = 10, min_size: int = 2) -> list:
     exemplar: dict = {}
     for graph in rewarded_graphs:
         for idx, node in enumerate(graph.nodes):
-            if not node.is_operator:
+            if not isinstance(node, OperatorSpec):
                 continue
             for structure in _patterns_at(graph, idx):
                 template = _to_template(graph, structure, {})
@@ -199,11 +197,16 @@ def register(mined: MinedOperator, registry: Registry, name: str | None = None):
 def mine_episode_log(lines, registry: Registry, min_support: int = 10, min_size: int = 2) -> list:
     """Mine from structured episode-log JSON lines (reward-1 records only)."""
     graphs = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
-        if record.get("reward") == 1 and record.get("graph"):
-            graphs.append(deserialize(record["graph"], registry))
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict) or not isinstance(record.get("graph", ""), str):
+                raise ValueError("not an object with a string graph")
+            if record.get("reward") == 1 and record.get("graph"):
+                graphs.append(deserialize(record["graph"], registry))
+        except ValueError as exc:  # bad JSON, record shape or graph text
+            raise ValueError(f"episode log line {number}: {exc}") from exc
     return mine(graphs, min_support=min_support, min_size=min_size)

@@ -9,6 +9,7 @@ question ("wrt x" after "w(x)", but not the article "a").
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -113,7 +114,7 @@ def _starts_math(question: str, i: int) -> bool:
     return (j - i) == 1 or (j < n and question[j] == "(")
 
 
-def extract_inputs(question: str, module: str = "") -> list:
+def extract_inputs(question: str) -> list:
     """Ordered typed inputs appearing in the question text."""
     found = []  # (position, text, TypedValue or pending name)
     pending = []  # (position, letter)
@@ -209,53 +210,26 @@ class BpeCodec:
 
     # -- serialization ------------------------------------------------------
 
-    @staticmethod
-    def _escape(token: str) -> str:
-        return token.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
-
-    @staticmethod
-    def _unescape(token: str) -> str:
-        out = []
-        k = 0
-        while k < len(token):
-            if token[k] == "\\" and k + 1 < len(token):
-                nxt = token[k + 1]
-                out.append({"\\": "\\", "t": "\t", "n": "\n"}.get(nxt, nxt))
-                k += 2
-            else:
-                out.append(token[k])
-                k += 1
-        return "".join(out)
-
     def save(self, path):
-        esc = self._escape
-        lines = [f"max_len {self.max_len}", f"merges {len(self.merges)}"]
-        lines += [f"{esc(l)}\t{esc(r)}" for l, r in self.merges]
-        lines.append(f"vocab {len(self.vocab)}")
-        lines += [f"{esc(t)}\t{i}" for t, i in sorted(self.vocab.items(), key=lambda kv: kv[1])]
-        lines.append(f"pad {self.pad_index}")
+        state = {
+            "max_len": self.max_len,
+            "merges": self.merges,
+            "vocab": self.vocab,
+            "pad_index": self.pad_index,
+        }
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            json.dump(state, fh)
 
     @classmethod
     def load(cls, path) -> "BpeCodec":
         with open(path) as fh:
-            lines = fh.read().splitlines()
-        unesc = cls._unescape
-        it = iter(lines)
-        max_len = int(next(it).split()[1])
-        n_merges = int(next(it).split()[1])
-        merges = []
-        for _ in range(n_merges):
-            left, right = next(it).split("\t")
-            merges.append((unesc(left), unesc(right)))
-        n_vocab = int(next(it).split()[1])
-        vocab = {}
-        for _ in range(n_vocab):
-            token, idx = next(it).rsplit("\t", 1)
-            vocab[unesc(token)] = int(idx)
-        pad_index = int(next(it).split()[1])
-        return cls(merges=merges, vocab=vocab, pad_index=pad_index, max_len=max_len)
+            state = json.load(fh)
+        return cls(
+            merges=[tuple(pair) for pair in state["merges"]],
+            vocab=state["vocab"],
+            pad_index=state["pad_index"],
+            max_len=state["max_len"],
+        )
 
 
 def _merge(tokens, left, right) -> list:

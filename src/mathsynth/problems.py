@@ -514,7 +514,7 @@ def load_dataset_file(path, module: str | None = None, n_inputs: int = 3) -> lis
     for i in range(0, len(lines), 2):
         question, answer = lines[i].strip(), lines[i + 1].strip()
         try:
-            inputs = extract_inputs(question, label)
+            inputs = extract_inputs(question)
         except ExtractionError:
             skipped += 1
             continue

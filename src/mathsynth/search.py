@@ -122,8 +122,8 @@ def exhaustive_solve(
     order, or None.  With count_all, keeps enumerating after a solution so
     n_complete covers the whole masked space up to max_nodes.
 
-    Every open frontier slot needs one more node, so a placement after which
-    nodes plus open slots exceed the depth limit cannot complete: it is
+    Every open slot needs one more node, so a placement after which nodes
+    plus open slots exceed the depth limit cannot complete: it is
     skipped and counted in n_pruned, not in n_expanded, and is not charged
     to the budget.  n_expanded counts only placements that can still
     complete.  The search adds and pops nodes on one graph; the allowed
@@ -139,17 +139,16 @@ def exhaustive_solve(
     # enumeration never picks a None action
     placements = [(spec, spec.arity) for spec in registry] + [(v, 0) for v in inputs]
     allowed = {}  # next slot type (None at the root) -> masked-in actions
-    graph = ComputeGraph(max_nodes=max_nodes)
+    graph = ComputeGraph()
     actions = []
     state = {"complete": 0, "expanded": 0, "pruned": 0, "solution": None, "budget_hit": False}
 
     def dfs(limit: int) -> bool:
-        nodes, frontier = graph.nodes, graph.frontier
-        if nodes and not frontier:
+        if graph.is_complete:
             state["complete"] += 1
             if (
                 state["solution"] is None
-                and (count_all or len(nodes) == limit)
+                and (count_all or len(graph) == limit)
                 and earns_reward(graph.evaluate(), problem)
             ):
                 state["solution"] = tuple(actions)
@@ -159,7 +158,7 @@ def exhaustive_solve(
             mask = action_mask(registry, inputs, n_inputs, graph)
             allowed[slot_type] = [a for a in range(n_ops + n_inputs) if mask[a]]
         # nodes plus open slots after a placement, before its own slots
-        committed = len(nodes) + len(frontier) if nodes else 1
+        committed = 1 + len(graph.slots)
         for action in allowed[slot_type]:
             node, arity = placements[action]
             if committed + arity > limit:

@@ -413,10 +413,6 @@ def rational_roots(coeffs):
         scale = math.lcm(*(c.denominator for c in work))
         ints = [int(c * scale) for c in work]
         a0, an = ints[0], ints[-1]
-        if a0 == 0:  # should have been stripped
-            roots.append(Fraction(0))
-            work = work[1:]
-            continue
         found = None
         for q in _divisors(an):
             for pnum in _divisors(a0):

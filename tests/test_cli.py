@@ -362,3 +362,20 @@ def test_mine_empty_log(tmp_path, capsys):
     log.write_text("")
     code, stdout, _ = run(capsys, "mine", "--log", str(log))
     assert code == 0 and stdout == ""
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1, 2]",
+        '{"reward": 1, "graph": 5}',
+        json.dumps({"reward": 1, "graph": "not_op(" * 3000 + "Boolean('True')" + ")" * 3000}),
+    ],
+    ids=["list", "number-graph", "deep-graph"],
+)
+def test_mine_rejects_malformed_log_lines(tmp_path, capsys, line):
+    log = tmp_path / "episodes.jsonl"
+    log.write_text(line + "\n")
+    code, _, err = run(capsys, "mine", "--log", str(log))
+    assert code == 1 and "error: episode log line 1:" in err
+    assert "Traceback" not in err and "internal error" not in err

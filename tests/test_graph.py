@@ -23,7 +23,7 @@ FULL = full_registry()
 def test_build_and_evaluate_the_derivative_graph():
     g = ComputeGraph()
     g.add_node(REG.get("differentiate"))
-    assert not g.is_complete and len(g.frontier) == 1
+    assert not g.is_complete and len(g.slots[len(g) - 1 :]) == 1
     g.add_node(expression(parse_expression("6*k**2 - 101*k + 2548")))
     assert g.is_complete
     assert render(g.evaluate()) == "12*k - 101"
@@ -48,16 +48,8 @@ def test_input_cannot_be_root():
         ComputeGraph().add_node(value(1))
 
 
-def test_node_limit():
-    g = ComputeGraph(max_nodes=2)
-    g.add_node(REG.get("gcd"))
-    g.add_node(value(4))
-    with pytest.raises(StructuralError):
-        g.add_node(value(6))
-
-
 def _snapshot(g):
-    return [(n.spec, n.value, list(n.children)) for n in g.nodes], list(g.frontier)
+    return list(g.nodes), list(g.first_slot), list(g.slots)
 
 
 @pytest.mark.parametrize("module", SUPPORTED_MODULES)
@@ -87,7 +79,7 @@ def test_breadth_first_slot_order():
     g.add_node(REG.get("gcd"))
     g.add_node(REG.get("mod"))
     g.add_node(value(5))
-    # frontier now: mod's two slots
+    # open slots now: mod's two
     g.add_node(value(7))
     g.add_node(value(3))
     assert g.is_complete
@@ -158,6 +150,18 @@ def test_deserialize_rejects_malformed_text():
         deserialize("bogus_op(Value('1'))", REG)
     with pytest.raises(MathParseError):
         deserialize("gcd(Value('4'),Value('6'))x", REG)
+
+
+def test_deserialize_rejects_too_many_nodes():
+    # n not_op nodes over one leaf; at 3,000 levels the parser would also
+    # exhaust its recursion
+    def chain(n):
+        return "not_op(" * n + "Boolean('True')" + ")" * n
+
+    assert len(deserialize(chain(63), REG)) == 64
+    for n in (64, 3000):
+        with pytest.raises(StructuralError):
+            deserialize(chain(n), REG)
 
 
 def test_fixed_action_sequence_is_deterministic():

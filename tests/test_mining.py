@@ -4,7 +4,7 @@ import pytest
 
 from mathsynth.environment import EnvConfig, Environment
 from mathsynth.mining import mine, mine_episode_log, register
-from mathsynth.operators import full_registry
+from mathsynth.operators import OperatorSpec, full_registry
 from mathsynth.problems import differentiate_wrt_problems
 from mathsynth.search import exhaustive_solve
 from mathsynth.values import expression, parse_expression, value, variable
@@ -66,16 +66,16 @@ def test_support_counts_match_brute_force():
     def patterns(g, idx):
         node = g.nodes[idx]
         options_per_child = []
-        for c in node.children:
+        for c in g.children(idx):
             opts = [("cut", c)]
-            if g.nodes[c].is_operator:
+            if isinstance(g.nodes[c], OperatorSpec):
                 opts += [("keep", p) for p in patterns(g, c)]
             options_per_child.append(opts)
         out = []
         from itertools import product as prod
 
         for combo in prod(*options_per_child):
-            out.append((node.spec.name, combo))
+            out.append((node.name, combo))
         return out
 
     def text_of(g, pat, names):
@@ -94,7 +94,7 @@ def test_support_counts_match_brute_force():
     expected = {}
     for g in graphs:
         for idx, node in enumerate(g.nodes):
-            if node.is_operator:
+            if isinstance(node, OperatorSpec):
                 for pat in patterns(g, idx):
                     key = text_of(g, pat, {})
                     expected[key] = expected.get(key, 0) + 1

@@ -72,7 +72,7 @@ def test_unrecognized_phrasing_errors_with_span():
 def test_generated_questions_parse_exactly():
     for module in SUPPORTED_MODULES:
         for gp in generate(module, 40, seed=3):
-            got = extract_inputs(gp.problem.question, module)
+            got = extract_inputs(gp.problem.question)
             assert kinds_and_texts(got) == kinds_and_texts(gp.problem.inputs), gp.problem.question
 
 
@@ -134,13 +134,18 @@ def test_padding():
 
 
 def test_codec_serialization_reproduces_encodings(tmp_path):
-    corpus = [gp.problem.question for gp in generate("algebra__linear_1d", 25, 2)]
-    codec = train_bpe(corpus, vocab_size=len({c for q in corpus for c in q}) + 12)
-    path = tmp_path / "codec.txt"
-    codec.save(path)
-    loaded = BpeCodec.load(path)
-    for q in corpus:
-        assert loaded.encode(q) == codec.encode(q)
+    questions = [gp.problem.question for gp in generate("algebra__linear_1d", 25, 2)]
+    # tokens with tabs, newlines and backslashes must survive the file
+    escapes = ["a\tb\\n", "a\tb\nc\\", "\\t\\\n\t", "b\\n\tc"] * 3
+    for corpus in (questions, escapes):
+        codec = train_bpe(corpus, vocab_size=len({c for q in corpus for c in q}) + 12)
+        path = tmp_path / "codec.json"
+        codec.save(path)
+        loaded = BpeCodec.load(path)
+        assert loaded.merges == codec.merges and loaded.vocab == codec.vocab
+        assert (loaded.pad_index, loaded.max_len) == (codec.pad_index, codec.max_len)
+        for q in corpus:
+            assert loaded.encode(q) == codec.encode(q)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def reference_solve(env, problem, max_nodes, count_all=False):
 
     limits = [max_nodes] if count_all else range(1, max_nodes + 1)
     for limit in limits:
-        if dfs(ComputeGraph(max_nodes=max_nodes), [], limit):
+        if dfs(ComputeGraph(), [], limit):
             break
     return found["solution"], found["complete"], found["expanded"]
 
