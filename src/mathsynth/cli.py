@@ -14,11 +14,10 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .environment import ConfigError, EnvConfig, Environment
-from .graph import StructuralError
+from .environment import ConfigError, Environment
 from .mining import mine_episode_log, register
 from .operators import default_registry, full_registry, make_registry
-from .parsing import ExtractionError, Problem, extract_inputs
+from .parsing import Problem, extract_inputs
 from .problems import (
     SUPPORTED_MODULES,
     generate,
@@ -33,7 +32,6 @@ from .qlearning import (
     save_checkpoint,
     train,
 )
-from .values import MathParseError
 
 USAGE_ERROR, DATA_ERROR, INTERNAL_ERROR = 2, 1, 3
 
@@ -119,14 +117,11 @@ def cmd_episode(args) -> int:
 
     env = Environment(registry)
     env.reset(problem)
-    history: list = []
     print(f"state  t=0 : {problem.question}; ")
-    reward, done = 0, False
     for t, action in enumerate(actions):
         print(f"action t={t} : {action}")
-        _, reward, done, info = env.step(action)
-        history.append(action)
-        print(f"state  t={t + 1} : {problem.question}; {', '.join(map(str, history))}")
+        obs, reward, done, info = env.step(action)
+        print(f"state  t={t + 1} : {problem.question}; {', '.join(map(str, obs.history))}")
         print(f"reward t={t + 1} : {reward}")
         if done:
             print(f"graph  : {info['graph']}")
@@ -161,7 +156,6 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         mapping["seed"] = args.seed
     train_cfg = TrainConfig.from_mapping(mapping)
-    env_fields = {f.name: getattr(train_cfg, f.name) for f in fields(EnvConfig)}
     registry = _registry_for(args.registry)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -174,19 +168,14 @@ def cmd_train(args) -> int:
         sink, close = _metrics_writer(out_dir / f"metrics{suffix}.jsonl")
         resume = None
         if args.checkpoint:
-            q0, meta = load_checkpoint(args.checkpoint, registry)
-            resume = (q0, int(meta.get("env_steps", 0)))
+            q0, _, env_steps = load_checkpoint(args.checkpoint, registry)
+            resume = (q0, env_steps)
         try:
             result = train(cfg, registry=registry, metrics_sink=sink, resume=resume)
         finally:
             close()
         ckpt = out_dir / f"checkpoint{suffix}.npz"
-        save_checkpoint(
-            ckpt,
-            result.q,
-            registry,
-            extra={"env_steps": result.env_steps, "modules": list(cfg.modules), "env": env_fields},
-        )
+        save_checkpoint(ckpt, result)
         last_eval = result.metrics[-1]["eval"] if result.metrics else {}
         mean = statistics.fmean(last_eval.values()) if last_eval else 0.0
         final_means.append((mean, seed, last_eval))
@@ -200,16 +189,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     registry = _registry_for(args.registry)
-    q, meta = load_checkpoint(args.checkpoint, registry)
-    modules = _parse_modules(args.module) if args.module else tuple(meta.get("modules", []))
-    if not modules:
-        raise ConfigError("no modules given and none recorded in the checkpoint")
+    q, config, _ = load_checkpoint(args.checkpoint, registry)
+    modules = _parse_modules(args.module) if args.module else config.modules
     problems = []
     for module in modules:
         problems.extend(gp.problem for gp in generate(module, args.count, args.seed))
-    # checkpoints written before the environment was recorded used the defaults
-    env = Environment(registry, EnvConfig(**meta.get("env", {})))
-    per_module = evaluate(q, env, problems)
+    per_module = evaluate(q, Environment(registry, config), problems)
     width = max(len(m) for m in per_module)
     for module, mean in per_module.items():
         print(f"{module:<{width}}  {mean:.4f}")
@@ -254,15 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write dataset files plus truth-graph sidecars")
     p.add_argument("--module", required=True, help="comma-separated module list")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("episode", help="replay an action sequence and print the trajectory")
-    p.add_argument("--question")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--question")
+    source.add_argument("--file", help="dataset file to draw the question from")
     p.add_argument("--answer")
-    p.add_argument("--file", help="dataset file to draw the question from")
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--actions", default="", help="comma-separated action indices")
     p.add_argument("--registry", default="default")
@@ -282,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="per-module mean reward of a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--module")
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=123)
     p.add_argument("--registry", default="default")
     p.set_defaults(func=cmd_eval)
@@ -302,16 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        ExtractionError,
-        MathParseError,
-        StructuralError,
-        TrainingDiverged,
-        FileNotFoundError,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except (TrainingDiverged, FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except Exception as exc:  # pragma: no cover - defensive

@@ -191,12 +191,11 @@ class Environment:
 
         reward = 0
         output = None
+        st.history.append(action)
         try:
             st.graph.add_node(node)
-            st.history.append(action)
         except StructuralError:
             # input placed as root: invalid graph, episode over with None
-            st.history.append(action)
             st.done = True
             output = ABSENT
         if not st.done:

@@ -41,19 +41,6 @@ from .values import (
 
 log = logging.getLogger(__name__)
 
-SUPPORTED_MODULES = (
-    "numbers__is_factor",
-    "numbers__is_prime",
-    "numbers__list_prime_factors",
-    "calculus__differentiate",
-    "polynomials__evaluate",
-    "numbers__div_remainder",
-    "numbers__gcd",
-    "numbers__lcm",
-    "algebra__linear_1d",
-    "algebra__polynomial_roots",
-    "algebra__linear_2d",
-)
 
 _OP = {name: i for i, name in enumerate(DEFAULT_OPERATOR_NAMES)}
 _N_OPS = len(DEFAULT_OPERATOR_NAMES)
@@ -409,6 +396,7 @@ _GENERATORS = {
     "algebra__polynomial_roots": _gen_polynomial_roots,
     "algebra__linear_2d": _gen_linear_2d,
 }
+SUPPORTED_MODULES = tuple(_GENERATORS)
 
 
 def generate(module: str, count: int, seed: int) -> list:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -102,28 +102,31 @@ def td_target(step: Step, gamma: float, online: QFunction, target: QFunction) ->
 # checkpoints
 
 
-def save_checkpoint(path, q: QFunction, registry: Registry, extra: dict | None = None):
+def save_checkpoint(path, result: TrainResult):
+    """The weights plus the run's config, env steps and registry manifest."""
     meta = {
-        "feature_seed": q.feature_seed,
-        "feature_dim": q.feature_dim,
-        "n_actions": q.n_actions,
-        "manifest": registry.manifest(),
+        "config": asdict(result.config),
+        "env_steps": result.env_steps,
+        "manifest": result.registry.manifest(),
     }
-    if extra:
-        meta.update(extra)
-    np.savez_compressed(path, weights=q.weights, meta=json.dumps(meta))
+    np.savez_compressed(path, weights=result.q.weights, meta=json.dumps(meta))
 
 
 def load_checkpoint(path, registry: Registry | None = None):
-    """Returns (QFunction, meta dict); verifies the registry manifest when a
-    registry is given."""
-    data = np.load(path, allow_pickle=False)
-    meta = json.loads(str(data["meta"]))
+    """Returns (QFunction, TrainConfig, env_steps); verifies the registry
+    manifest when a registry is given."""
+    with np.load(path, allow_pickle=False) as data:
+        meta = json.loads(str(data["meta"]))
+        weights = data["weights"]
+    if "config" not in meta:
+        raise ValueError(f"{path}: checkpoint records no training config")
     if registry is not None and meta["manifest"] != registry.manifest():
         raise ValueError("checkpoint was trained against a different action-space layout")
-    q = QFunction(meta["n_actions"], meta["feature_dim"], meta["feature_seed"])
-    q.weights = data["weights"].copy()
-    return q, meta
+    config = TrainConfig.from_mapping(meta["config"])
+    n_actions, feature_dim = weights.shape
+    q = QFunction(n_actions, feature_dim, config.feature_seed)
+    q.weights = weights
+    return q, config, meta["env_steps"]
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +160,14 @@ class TrainConfig(EnvConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        # train() has no BPE codec, so neither codec key could take effect
+        if self.encoded_observations:
+            raise ConfigError("encoded_observations needs a BPE codec; training has none")
+        if self.max_question_tokens != EnvConfig.max_question_tokens:
+            raise ConfigError(
+                "max_question_tokens applies only to encoded observations, "
+                "which training does not use"
+            )
         if not self.modules:
             raise ConfigError("at least one module is required")
         for module in self.modules:
@@ -253,28 +264,27 @@ def train(
     env = Environment(registry, config)
     eval_env = Environment(env.registry, env.config)
 
-    train_pool = []
-    eval_pool = []
-    for module in config.modules:
-        train_pool.extend(
-            gp.problem for gp in generate(module, config.train_problems_per_module, config.seed)
-        )
-        eval_pool.extend(
-            gp.problem
-            for gp in generate(
-                module, config.eval_problems_per_module, config.seed + _EVAL_SEED_OFFSET
-            )
-        )
+    train_pool = [
+        gp.problem
+        for module in config.modules
+        for gp in generate(module, config.train_problems_per_module, config.seed)
+    ]
+    eval_pool = [
+        gp.problem
+        for module in config.modules
+        for gp in generate(module, config.eval_problems_per_module, config.seed + _EVAL_SEED_OFFSET)
+    ]
 
     if resume is not None:
-        q, env_steps = resume[0], int(resume[1])
-        if q.n_actions != env.n_actions:
-            raise ValueError("resumed checkpoint does not match the action space")
-        for key in ("feature_dim", "feature_seed"):
-            if getattr(q, key) != getattr(config, key):
+        q, env_steps = resume
+        for key, want in (
+            ("n_actions", env.n_actions),
+            ("feature_dim", config.feature_dim),
+            ("feature_seed", config.feature_seed),
+        ):
+            if getattr(q, key) != want:
                 raise ConfigError(
-                    f"{key} is {getattr(config, key)} but the resumed checkpoint has "
-                    f"{getattr(q, key)}"
+                    f"{key} is {want} but the resumed checkpoint has {getattr(q, key)}"
                 )
     else:
         q = QFunction(env.n_actions, config.feature_dim, config.feature_seed)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .environment import Environment, action_mask, earns_reward
-from .graph import ComputeGraph, StructuralError
+from .graph import ComputeGraph
 from .parsing import Problem
 
 
@@ -61,7 +61,7 @@ def run_episode(env: Environment, problem: Problem, policy) -> EpisodeRecord:
     """Drive one episode with policy(observation, mask) -> action."""
     obs = env.reset(problem)
     steps = []
-    reward, done = 0, False
+    done = False
     mask = env.compute_mask()
     while not done:
         action = int(policy(obs, mask))
@@ -69,17 +69,14 @@ def run_episode(env: Environment, problem: Problem, policy) -> EpisodeRecord:
         next_mask = info["mask"]
         steps.append(Step(obs, action, reward, next_obs, done, next_mask))
         obs, mask = next_obs, next_mask
-    graph = env.state.graph
-    try:
-        graph_text = graph.serialize()
-    except StructuralError:
-        graph_text = graph.partial_text()
+    # the last step's text: the serialized graph once complete, with '?'
+    # for the open slots of a graph cut short
     return EpisodeRecord(
         problem=problem,
         reward=reward,
         steps=steps,
-        graph_text=graph_text,
-        output=info.get("output", "None"),
+        graph_text=info["graph"],
+        output=info["output"],
     )
 
 

@@ -64,9 +64,10 @@ BAD_VALUES = [
     ("n_inputs", "two"),
     ("max_nodes", "0"),
     ("max_nodes", "-3"),
-    ("encoded_observations", "true"),  # the CLI has no BPE codec
+    ("encoded_observations", "true"),  # training has no BPE codec
     ("encoded_observations", "maybe"),
     ("max_question_tokens", "0"),
+    ("max_question_tokens", "5"),  # applies only to encoded observations
     ("univariate_differentiate_only", "perhaps"),
     ("modules", ""),
     ("modules", "numbers__bogus"),
@@ -228,6 +229,10 @@ def test_usage_error_exit_code(tmp_path):
         ["bogus-command"],
         ["train", "--seeds", "0", "--out", str(tmp_path)],
         ["train", "--seeds", "-2", "--out", str(tmp_path)],
+        ["episode", "--actions", "5"],
+        ["episode", "--question", "Is 7 prime?", "--file", "x.txt"],
+        ["generate", "--module", "numbers__gcd", "--count", "-2", "--out", str(tmp_path)],
+        ["eval", "--checkpoint", str(tmp_path / "c.npz"), "--count", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -262,8 +267,8 @@ def _train_eval_resume(tmp_path, capsys, env_line):
     metrics = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
     assert metrics and metrics[-1]["step"] >= 300
     assert (out / "checkpoint.npz").exists()
-    q, meta = load_checkpoint(out / "checkpoint.npz")
-    assert meta["env"]["n_inputs"] == n_inputs
+    q, config, _ = load_checkpoint(out / "checkpoint.npz")
+    assert config.n_inputs == n_inputs
     assert q.n_actions == default_registry().n_ops + n_inputs
 
     code, stdout, err = run(
@@ -284,6 +289,18 @@ def _train_eval_resume(tmp_path, capsys, env_line):
     assert code == 0, err
     resumed = [json.loads(l) for l in (out2 / "metrics.jsonl").read_text().splitlines()]
     assert all(m["step"] >= 300 for m in resumed)
+
+
+def test_eval_rejects_checkpoint_without_config(tmp_path, capsys):
+    path = tmp_path / "old.npz"
+    # the meta layout of a checkpoint that does not record its training config
+    meta = {"feature_seed": 1, "feature_dim": 64, "n_actions": 18,
+            "manifest": default_registry().manifest()}
+    np.savez_compressed(path, weights=np.zeros((18, 64)), meta=json.dumps(meta))
+    code, _, err = run(capsys, "eval", "--checkpoint", str(path), "--module", "numbers__gcd")
+    assert code == 1
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err and "internal error" not in err
 
 
 @pytest.mark.parametrize("line", ["feature_dim = 4096\n", "feature_seed = 7\n"])

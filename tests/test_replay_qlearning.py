@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from collections import deque
 
@@ -12,6 +13,7 @@ from mathsynth.qlearning import (
     QFunction,
     TrainConfig,
     TrainingDiverged,
+    TrainResult,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -251,27 +253,48 @@ def test_features_distinguish_history_positions():
     assert sorted(a.tolist()) != sorted(b.tolist())
 
 
+def _result(q, registry, env_steps=0, **config):
+    return TrainResult(q, [], env_steps, 0, registry, TrainConfig(**config))
+
+
 def test_checkpoint_round_trip(tmp_path):
     from mathsynth.operators import default_registry
 
     reg = default_registry()
     q = QFunction(18, 1 << 10, 7)
     q.weights[3, 11] = 1.5
+    saved = _result(
+        q, reg, 123, modules=("numbers__gcd", "numbers__lcm"), n_inputs=3,
+        feature_dim=1 << 10, feature_seed=7, gamma=0.9, learning_rate=0.05,
+    )
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, q, reg, extra={"env_steps": 123})
-    loaded, meta = load_checkpoint(path, reg)
+    save_checkpoint(path, saved)
+    loaded, config, env_steps = load_checkpoint(path, reg)
     assert np.array_equal(loaded.weights, q.weights)
-    assert loaded.feature_seed == 7
-    assert meta["env_steps"] == 123
+    assert (loaded.n_actions, loaded.feature_dim, loaded.feature_seed) == (18, 1 << 10, 7)
+    assert (config, env_steps) == (saved.config, 123)
+    with np.load(path) as data:
+        assert set(json.loads(str(data["meta"]))) == {"config", "env_steps", "manifest"}
 
 
 def test_checkpoint_rejects_other_action_space(tmp_path):
     from mathsynth.operators import default_registry, full_registry
 
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, QFunction(18, 64, 0), default_registry())
+    save_checkpoint(path, _result(QFunction(18, 64, 0), default_registry(), feature_dim=64))
     with pytest.raises(ValueError):
         load_checkpoint(path, full_registry())
+
+
+def test_checkpoint_without_config_is_rejected(tmp_path):
+    from mathsynth.operators import default_registry
+
+    path = tmp_path / "ckpt.npz"
+    meta = {"feature_seed": 0, "feature_dim": 64, "n_actions": 18, "env_steps": 5,
+            "manifest": default_registry().manifest()}
+    np.savez_compressed(path, weights=np.zeros((18, 64)), meta=json.dumps(meta))
+    with pytest.raises(ValueError, match="ckpt.npz"):
+        load_checkpoint(path)
 
 
 def _tiny_config(**overrides):
