@@ -184,3 +184,25 @@ def test_bpe_training_and_encoding_are_pinned():
     assert len(questions) == 1100
     assert len(codec.merges) == 32
     assert digest.hexdigest() == BPE_DIGEST
+
+
+EXTRACTION_DIGEST = "2ae4b3aeca38a358c41dcfb43467c51c7d37673d3a9476ff0a5ba89f50774cde"
+
+
+def test_input_extraction_is_pinned():
+    # kind and rendering of every extracted input over all modules and three
+    # seeds, plus the questions that raise; the digest guards the scanner
+    digest = hashlib.sha256()
+    n_questions = n_rejected = 0
+    for m in SUPPORTED_MODULES:
+        for seed in (0, 1, 41):
+            for gp in generate(m, 300, seed):
+                n_questions += 1
+                try:
+                    line = repr(kinds_and_texts(extract_inputs(gp.problem.question)))
+                except ExtractionError as exc:
+                    n_rejected += 1
+                    line = f"ExtractionError: {exc}"
+                digest.update(line.encode() + b"\n")
+    assert (n_questions, n_rejected) == (9900, 6)
+    assert digest.hexdigest() == EXTRACTION_DIGEST
