@@ -36,7 +36,6 @@ from .problems import (
     GeneratedProblem,
     differentiate_wrt_problems,
     generate,
-    generate_problems,
     load_dataset_file,
     split,
     write_dataset_file,

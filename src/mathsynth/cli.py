@@ -66,6 +66,8 @@ def _registry_for(name: str):
 
 def _parse_modules(raw: str) -> tuple:
     modules = tuple(m.strip() for m in raw.split(",") if m.strip())
+    if not modules:
+        raise ConfigError(f"no module in --module {raw!r}")
     for m in modules:
         if m not in SUPPORTED_MODULES:
             raise ConfigError(f"unsupported module: {m!r}")
@@ -151,7 +153,7 @@ def _metrics_writer(path):
 
 def cmd_train(args) -> int:
     mapping = load_config(args.config) if args.config else {}
-    if args.module:
+    if args.module is not None:
         mapping["modules"] = args.module
     if args.seed is not None:
         mapping["seed"] = args.seed
@@ -190,7 +192,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     registry = _registry_for(args.registry)
     q, config, _ = load_checkpoint(args.checkpoint, registry)
-    modules = _parse_modules(args.module) if args.module else config.modules
+    modules = config.modules if args.module is None else _parse_modules(args.module)
     problems = []
     for module in modules:
         problems.extend(gp.problem for gp in generate(module, args.count, args.seed))

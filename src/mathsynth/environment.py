@@ -159,13 +159,18 @@ class Environment:
         first = self._state.first
         return Observation(first.question, tuple(self._state.history), first.encoded)
 
-    def reset(self, problem: Problem) -> Observation:
+    def check(self, problem: Problem):
+        """Raise ProblemRejected if this configuration cannot load the problem."""
         if len(problem.inputs) > self.config.n_inputs:
             raise ProblemRejected(
-                f"problem has {len(problem.inputs)} inputs, limit is {self.config.n_inputs}"
+                f"{problem.module or 'the'} problem has {len(problem.inputs)} inputs "
+                f"but n_inputs is {self.config.n_inputs}"
             )
         if self.config.univariate_differentiate_only and is_multivariate_differentiate(problem):
             raise ProblemRejected("multivariate calculus__differentiate problem filtered out")
+
+    def reset(self, problem: Problem) -> Observation:
+        self.check(problem)
         codec = self.codec if self.config.encoded_observations else None
         first = encode_observation(codec, problem.question, ())
         graph = ComputeGraph()

@@ -3,7 +3,7 @@ of mined templates into new registered operators.
 
 A pattern is a rooted connected set of operator nodes; excluded children
 become parameter placeholders.  Within one occurrence, syntactically
-identical leaf subtrees share a placeholder (so a repeated variable leaf
+identical cut subtrees share a placeholder (so a repeated variable leaf
 becomes one parameter); placeholders are numbered in depth-first order of
 first appearance.
 """
@@ -11,6 +11,7 @@ first appearance.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -25,10 +26,10 @@ class TemplateNode:
     children: tuple  # each entry: int placeholder id or TemplateNode
 
 
-def template_text(node, joiner: str = ",") -> str:
+def template_text(node) -> str:
     if isinstance(node, int):
         return f"p{node}"
-    parts = joiner.join(template_text(c, joiner) for c in node.children)
+    parts = ",".join(template_text(c) for c in node.children)
     return f"{node.spec.name}({parts})"
 
 
@@ -38,13 +39,12 @@ def template_size(node) -> int:
     return 1 + sum(template_size(c) for c in node.children)
 
 
-def _placeholder_slot_types(node, out):
-    if isinstance(node, TemplateNode):
-        for (_, ptype), child in zip(node.spec.params, node.children):
-            if isinstance(child, int):
-                out.setdefault(child, []).append(ptype)
-            else:
-                _placeholder_slot_types(child, out)
+def _placeholder_slot_types(node: TemplateNode, out: dict) -> dict:
+    for (_, ptype), child in zip(node.spec.params, node.children):
+        if isinstance(child, int):
+            out.setdefault(child, []).append(ptype)
+        else:
+            _placeholder_slot_types(child, out)
     return out
 
 
@@ -64,9 +64,16 @@ class MinedOperator:
 
     template: TemplateNode
     support: int
-    size: int  # operator nodes in the template
     param_types: tuple  # type tag per placeholder
-    return_type: str
+
+    @property
+    def size(self) -> int:
+        """Operator nodes in the template."""
+        return template_size(self.template)
+
+    @property
+    def return_type(self) -> str:
+        return self.template.spec.return_type
 
     @property
     def arity(self) -> int:
@@ -106,76 +113,49 @@ def _eval_template(node, args):
 # enumeration and counting
 
 
-def _subtree_key(graph: ComputeGraph, idx: int) -> str:
-    return graph._node_text(idx, placeholder=None)
-
-
-def _patterns_at(graph: ComputeGraph, idx: int):
-    """All patterns rooted at operator node idx: (structure, leaves) pairs,
-    where structure entries are ("leaf", child_idx) or nested tuples, and
-    leaves is the DFS list of cut child indices."""
+def _patterns_at(graph: ComputeGraph, idx: int) -> list:
+    """All patterns rooted at operator node idx, as templates whose cut
+    children are the text of the subtree they cut off."""
     per_child = []
-    for child_idx in graph.children(idx):
-        options = [("leaf", child_idx)]
-        if isinstance(graph.nodes[child_idx], OperatorSpec):
-            options.extend(_patterns_at(graph, child_idx))
+    for child in graph.children(idx):
+        options = [graph._node_text(child, placeholder=None)]
+        if isinstance(graph.nodes[child], OperatorSpec):
+            options.extend(_patterns_at(graph, child))
         per_child.append(options)
-    return [("node", idx, combo) for combo in product(*per_child)]
+    return [TemplateNode(graph.nodes[idx], combo) for combo in product(*per_child)]
 
 
-def _to_template(graph: ComputeGraph, structure, leaf_map: dict):
-    kind = structure[0]
-    if kind == "leaf":
-        child_idx = structure[1]
-        key = _subtree_key(graph, child_idx)
-        if key not in leaf_map:
-            leaf_map[key] = len(leaf_map)
-        return leaf_map[key]
-    _, idx, combo = structure
-    children = tuple(_to_template(graph, c, leaf_map) for c in combo)
-    return TemplateNode(graph.nodes[idx], children)
+def _numbered(node, ids: dict):
+    """The pattern with each cut subtree's text replaced by its placeholder
+    id; ids follow depth-first first appearance, so identical subtrees share
+    one."""
+    if isinstance(node, str):
+        return ids.setdefault(node, len(ids))
+    return TemplateNode(node.spec, tuple(_numbered(c, ids) for c in node.children))
 
 
 def mine(rewarded_graphs, min_support: int = 10, min_size: int = 2) -> list:
     """Frequent templates over a corpus of complete rewarded graphs, ranked
     by support, then size, then text."""
-    counts: dict = {}
-    exemplar: dict = {}
+    counts = Counter()
+    exemplar = {}
     for graph in rewarded_graphs:
         for idx, node in enumerate(graph.nodes):
-            if not isinstance(node, OperatorSpec):
-                continue
-            for structure in _patterns_at(graph, idx):
-                template = _to_template(graph, structure, {})
-                key = template_text(template)
-                counts[key] = counts.get(key, 0) + 1
-                exemplar.setdefault(key, template)
+            if isinstance(node, OperatorSpec):
+                for pattern in _patterns_at(graph, idx):
+                    template = _numbered(pattern, {})
+                    key = template_text(template)
+                    counts[key] += 1
+                    exemplar.setdefault(key, template)
     out = []
     for key, support in counts.items():
         template = exemplar[key]
-        size = template_size(template)
-        if support < min_support or size < min_size:
+        if support < min_support or template_size(template) < min_size:
             continue
         slot_types = _placeholder_slot_types(template, {})
-        param_types = []
-        ok = True
-        for i in range(len(slot_types)):
-            meet = _type_meet(slot_types[i])
-            if meet is None:
-                ok = False
-                break
-            param_types.append(meet)
-        if not ok:
-            continue
-        out.append(
-            MinedOperator(
-                template=template,
-                support=support,
-                size=size,
-                param_types=tuple(param_types),
-                return_type=template.spec.return_type,
-            )
-        )
+        param_types = tuple(_type_meet(slot_types[i]) for i in range(len(slot_types)))
+        if None not in param_types:  # no placeholder with incomparable types
+            out.append(MinedOperator(template, support, param_types))
     out.sort(key=lambda m: (-m.support, -m.size, m.text))
     return out
 

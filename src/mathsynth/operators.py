@@ -512,9 +512,6 @@ class Registry:
     def n_ops(self) -> int:
         return len(self.specs)
 
-    def __len__(self):
-        return len(self.specs)
-
     def __iter__(self):
         return iter(self.specs)
 

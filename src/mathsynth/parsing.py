@@ -26,6 +26,7 @@ from .values import (
     free_symbols,
     function,
     function_head,
+    is_digit,
     parse_value,
     variable,
 )
@@ -104,7 +105,7 @@ def _starts_math(question: str, i: int) -> bool:
     n = len(question)
     if i >= n:
         return False
-    if question[i].isdigit():
+    if is_digit(question[i]):
         return True
     if not question[i].isalpha():
         return False
@@ -122,7 +123,7 @@ def extract_inputs(question: str) -> list:
     n = len(question)
     while i < n:
         ch = question[i]
-        if ch.isdigit() or (ch == "-" and _starts_math(question, i + 1)):
+        if is_digit(ch) or (ch == "-" and _starts_math(question, i + 1)):
             parsed = _try_fragment(question, i)
         elif ch.isalpha():
             j = i

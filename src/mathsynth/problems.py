@@ -413,16 +413,6 @@ def generate(module: str, count: int, seed: int) -> list:
     return out
 
 
-def generate_problems(modules, count_per_module: int, seed: int) -> list:
-    """Generated problems for several modules, interleaved deterministically."""
-    out = []
-    for module in modules:
-        out.extend(generate(module, count_per_module, seed))
-    rng = random.Random(f"interleave|{seed}")
-    rng.shuffle(out)
-    return out
-
-
 def differentiate_wrt_problems(
     count: int,
     seed: int,

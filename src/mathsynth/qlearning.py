@@ -84,9 +84,6 @@ class QFunction:
         out.weights = self.weights.copy()
         return out
 
-    def copy_weights_from(self, other: "QFunction"):
-        self.weights[:] = other.weights
-
 
 def td_target(step: Step, gamma: float, online: QFunction, target: QFunction) -> float:
     """Double-DQN target: r, or r + gamma * target-value at the online
@@ -274,6 +271,8 @@ def train(
         for module in config.modules
         for gp in generate(module, config.eval_problems_per_module, config.seed + _EVAL_SEED_OFFSET)
     ]
+    for problem in train_pool + eval_pool:  # fail here, not at the first reset that meets it
+        env.check(problem)
 
     if resume is not None:
         q, env_steps = resume
@@ -362,7 +361,7 @@ def train(
                     last_loss = _batch_update(q, target, buffer, config, nrng, updates)
                     updates += 1
                     if updates % config.target_sync == 0:
-                        target.copy_weights_from(q)
+                        target.weights[:] = q.weights
             maybe_eval()
         if steps:
             store(steps)

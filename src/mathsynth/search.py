@@ -99,32 +99,28 @@ def random_rollout(env: Environment, problem: Problem, rng, respect_mask: bool =
 
 @dataclass
 class SearchResult:
-    actions: tuple | None  # first (minimal-length) rewarded sequence
-    n_complete: int  # complete masked graphs enumerated
-    n_expanded: int  # nodes placed during the search
-    budget_exhausted: bool = False
+    actions: tuple | None = None  # first (minimal-length) rewarded sequence
+    n_complete: int = 0  # complete masked graphs enumerated
+    n_expanded: int = 0  # nodes placed during the search
     n_pruned: int = 0  # masked placements skipped because they could not complete
 
 
 def exhaustive_solve(
-    env: Environment,
-    problem: Problem,
-    max_nodes: int = 4,
-    budget: int | None = None,
-    count_all: bool = False,
+    env: Environment, problem: Problem, max_nodes: int = 4, count_all: bool = False
 ) -> SearchResult:
     """Depth-bounded enumeration of masked action sequences.
 
-    Returns the first rewarded sequence in iterative-deepening lexicographic
-    order, or None.  With count_all, keeps enumerating after a solution so
-    n_complete covers the whole masked space up to max_nodes.
+    The result's actions are the first rewarded sequence in
+    iterative-deepening lexicographic order, or None.  With count_all, the
+    search keeps enumerating after a solution so n_complete covers the
+    whole masked space up to max_nodes.
 
     Every open slot needs one more node, so a placement after which nodes
-    plus open slots exceed the depth limit cannot complete: it is
-    skipped and counted in n_pruned, not in n_expanded, and is not charged
-    to the budget.  n_expanded counts only placements that can still
-    complete.  The search adds and pops nodes on one graph; the allowed
-    actions are taken from action_mask once per slot type.  Under iterative
+    plus open slots exceed the depth limit cannot complete: it is skipped
+    and counted in n_pruned, not in n_expanded.  n_expanded counts only
+    placements that can still complete.  The search adds and pops nodes on
+    one graph and updates one SearchResult as it goes; the allowed actions
+    are taken from action_mask once per slot type.  Under iterative
     deepening a complete graph smaller than the current limit was already
     judged at its own limit, so it is counted again but not re-evaluated.
     """
@@ -138,18 +134,18 @@ def exhaustive_solve(
     allowed = {}  # next slot type (None at the root) -> masked-in actions
     graph = ComputeGraph()
     actions = []
-    state = {"complete": 0, "expanded": 0, "pruned": 0, "solution": None, "budget_hit": False}
+    result = SearchResult()
 
     def dfs(limit: int) -> bool:
         if graph.is_complete:
-            state["complete"] += 1
+            result.n_complete += 1
             if (
-                state["solution"] is None
+                result.actions is None
                 and (count_all or len(graph) == limit)
                 and earns_reward(graph.evaluate(), problem)
             ):
-                state["solution"] = tuple(actions)
-            return state["solution"] is not None and not count_all
+                result.actions = tuple(actions)
+            return result.actions is not None and not count_all
         slot_type = graph.next_slot_type()
         if slot_type not in allowed:
             mask = action_mask(registry, inputs, n_inputs, graph)
@@ -159,12 +155,9 @@ def exhaustive_solve(
         for action in allowed[slot_type]:
             node, arity = placements[action]
             if committed + arity > limit:
-                state["pruned"] += 1
+                result.n_pruned += 1
                 continue
-            if budget is not None and state["expanded"] >= budget:
-                state["budget_hit"] = True
-                return True
-            state["expanded"] += 1
+            result.n_expanded += 1
             graph.add_node(node)
             actions.append(action)
             stop = dfs(limit)
@@ -178,12 +171,6 @@ def exhaustive_solve(
         dfs(max_nodes)
     else:
         for limit in range(1, max_nodes + 1):
-            if dfs(limit):  # solved, or out of budget
+            if dfs(limit):
                 break
-    return SearchResult(
-        actions=state["solution"],
-        n_complete=state["complete"],
-        n_expanded=state["expanded"],
-        budget_exhausted=state["budget_hit"],
-        n_pruned=state["pruned"],
-    )
+    return result

@@ -614,6 +614,12 @@ def render(v: TypedValue) -> str:
 # Division is exact scaling: the divisor must be numeric.
 
 
+def is_digit(ch: str) -> bool:
+    """ASCII 0-9 only: str.isdigit also accepts digits such as '²' that
+    int() rejects."""
+    return "0" <= ch <= "9"
+
+
 class _Scanner:
     def __init__(self, text: str, pos: int = 0):
         self.text = text
@@ -636,7 +642,7 @@ class _Scanner:
     def number(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             return None
@@ -644,11 +650,11 @@ class _Scanner:
         if (
             self.peek() == "."
             and self.pos + 1 < len(self.text)
-            and self.text[self.pos + 1].isdigit()
+            and is_digit(self.text[self.pos + 1])
         ):
             self.pos += 1
             frac_start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and is_digit(self.text[self.pos]):
                 self.pos += 1
             whole = self.text[start : frac_start - 1]
             frac = self.text[frac_start : self.pos]

@@ -7,7 +7,13 @@ from mathsynth.cli import ConfigError, load_config, main
 from mathsynth.environment import Environment
 from mathsynth.operators import default_registry
 from mathsynth.problems import load_dataset_file
-from mathsynth.qlearning import TrainConfig, load_checkpoint
+from mathsynth.qlearning import (
+    QFunction,
+    TrainConfig,
+    TrainResult,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def run(capsys, *argv):
@@ -170,6 +176,26 @@ def test_generate_unknown_module_is_a_data_error(tmp_path, capsys):
     )
     assert code == 1
     assert "unsupported module" in err
+
+
+def test_empty_module_list_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "g"
+    code, stdout, err = run(capsys, "generate", "--module", "", "--count", "1", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+    registry = default_registry()
+    q = QFunction(registry.n_ops + 3, 64, 0)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, TrainResult(q, [], 0, 0, registry, TrainConfig(feature_dim=64)))
+    code, stdout, err = run(capsys, "eval", "--checkpoint", str(path), "--module", "")
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+    code, stdout, err = run(capsys, "train", "--module", "", "--out", str(tmp_path / "t"))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and not (tmp_path / "t").exists()
 
 
 def test_episode_prints_the_trajectory(capsys):

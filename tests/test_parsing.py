@@ -19,6 +19,13 @@ def kinds_and_texts(values):
     return [(v.kind, render(v)) for v in values]
 
 
+def test_extract_inputs_reads_only_ascii_digits():
+    # '²' passes str.isdigit but not int(); it is skipped like other text
+    assert kinds_and_texts(extract_inputs("What is 2²?")) == [("Value", "2")]
+    with pytest.raises(ExtractionError):
+        extract_inputs("What is ²?")
+
+
 def test_extract_inputs_function_chain():
     q = (
         "Let h(t) = t**3 + t**2 + 1. Let v(d) = 6*d**3 + 24*d**2 + 4. "

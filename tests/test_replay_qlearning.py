@@ -6,7 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from mathsynth.environment import Environment
+from mathsynth.environment import Environment, ProblemRejected
 from mathsynth.parsing import Observation
 from mathsynth.qlearning import (
     EpsilonSchedule,
@@ -358,3 +358,22 @@ def test_priority_floor_must_be_positive():
         TrainConfig(priority_floor=0)
     with pytest.raises(ValueError):
         dataclasses.replace(TrainConfig(), priority_floor=0.0)
+
+
+def test_train_rejects_a_pool_problem_before_the_first_step(monkeypatch):
+    # div_remainder problems have 2 inputs; the run used to fail only when
+    # the random draw first reset the environment on one of them
+    steps = []
+    step = Environment.step
+    monkeypatch.setattr(Environment, "step", lambda self, a: steps.append(a) or step(self, a))
+    config = TrainConfig.from_mapping(
+        {
+            "modules": "numbers__is_prime,numbers__div_remainder",
+            "n_inputs": "1",
+            "total_steps": "300",
+            "seed": "1",
+        }
+    )
+    with pytest.raises(ProblemRejected, match="div_remainder problem has 2 inputs but n_inputs is 1"):
+        train(config)
+    assert steps == []

@@ -111,6 +111,13 @@ def test_division_by_expression_is_rejected():
         parse_expression("x +")
 
 
+def test_non_ascii_digits_are_a_parse_error():
+    # str.isdigit accepts '²', which int() then rejects with a bare ValueError
+    for text in ("2²", "²", "1.5²"):
+        with pytest.raises(MathParseError):
+            parse_value(text)
+
+
 _KINDS = [VALUE, RATIONAL, VARIABLE, EXPRESSION, EQUATION, FUNCTION, SET_OF_VALUE]
 
 
