@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from mathsynth.problems import SUPPORTED_MODULES, generate
 from mathsynth.values import (
     ABSENT,
     EQUATION,
@@ -177,3 +179,26 @@ def test_round_trip_without_kind_for_unambiguous_values():
         v = _random_typed(rng)
         if v.kind in (EQUATION, FUNCTION):
             assert parse_value(render(v)).kind == v.kind
+
+
+PARSE_DIGEST = "7d356789f6d278a75f2d89f5ef62a61344c03692819af74d8d0e7d2199bd0890"
+
+
+def test_parse_value_is_pinned():
+    # every answer, and every rendered input both without and with its kind,
+    # over all modules and three seeds; the digest guards the lexer and the
+    # typing rule
+    digest = hashlib.sha256()
+    n_parses = 0
+    for m in SUPPORTED_MODULES:
+        for seed in (0, 1, 41):
+            for gp in generate(m, 300, seed):
+                cases = [(gp.problem.answer, None)]
+                for v in gp.problem.inputs:
+                    cases += [(render(v), None), (render(v), v.kind)]
+                for text, expected in cases:
+                    v = parse_value(text, expected)
+                    n_parses += 1
+                    digest.update(f"{text}|{expected}|{v.kind}|{render(v)}\n".encode())
+    assert n_parses == 46226
+    assert digest.hexdigest() == PARSE_DIGEST
