@@ -133,13 +133,15 @@ def cmd_episode(args) -> int:
 
 
 def _metrics_writer(path):
-    """(sink, close) for a JSON-lines file that is opened on the first record,
-    so a run that train() rejects leaves no file behind."""
+    """(sink, close) for a JSON-lines file that is opened, and its directory
+    created, on the first record, so a run that train() rejects leaves no
+    file or directory behind."""
     fh = None
 
     def sink(record):
         nonlocal fh
         if fh is None:
+            path.parent.mkdir(parents=True, exist_ok=True)
             fh = open(path, "w")
         fh.write(json.dumps(record) + "\n")
         fh.flush()
@@ -160,7 +162,6 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig.from_mapping(mapping)
     registry = _registry_for(args.registry)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     seeds = [train_cfg.seed + i for i in range(args.seeds)]
     final_means = []
@@ -176,8 +177,8 @@ def cmd_train(args) -> int:
             result = train(cfg, registry=registry, metrics_sink=sink, resume=resume)
         finally:
             close()
-        ckpt = out_dir / f"checkpoint{suffix}.npz"
-        save_checkpoint(ckpt, result)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(out_dir / f"checkpoint{suffix}.npz", result)
         last_eval = result.metrics[-1]["eval"] if result.metrics else {}
         mean = statistics.fmean(last_eval.values()) if last_eval else 0.0
         final_means.append((mean, seed, last_eval))

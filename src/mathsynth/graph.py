@@ -8,6 +8,8 @@ and a fixed action sequence always produces the same graph.
 
 from __future__ import annotations
 
+import re
+
 from .operators import OperatorSpec, Registry
 from .values import (
     ABSENT,
@@ -155,18 +157,19 @@ def deserialize(text: str, registry: Registry, max_nodes: int = 64) -> ComputeGr
     return graph
 
 
+_NAME = re.compile(r"[A-Za-z0-9_]+")
+
+
 def _parse_tree(text: str, pos: int, registry: Registry, budget: int):
     """Returns ((action, child trees), new position, nodes still allowed
     after this subtree); budget is the number of nodes still allowed."""
     if budget < 1:
         raise StructuralError(f"graph text exceeds the node limit at position {pos}")
     budget -= 1
-    end = pos
-    while end < len(text) and (text[end].isalnum() or text[end] == "_"):
-        end += 1
-    name = text[pos:end]
-    if not name:
+    m = _NAME.match(text, pos)
+    if m is None:
         raise MathParseError("expected an operator or value kind name", pos)
+    name, end = m.group(), m.end()
     if end >= len(text) or text[end] != "(":
         raise MathParseError("expected '('", end)
     if name in registry:

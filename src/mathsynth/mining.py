@@ -86,7 +86,7 @@ class MinedOperator:
     def default_name(self) -> str:
         return f"{self.template.spec.name}_{self.size}"
 
-    def to_operator_spec(self, name: str | None = None) -> OperatorSpec:
+    def to_operator_spec(self) -> OperatorSpec:
         template = self.template
         params = tuple((f"p{i}", t) for i, t in enumerate(self.param_types))
 
@@ -94,7 +94,7 @@ class MinedOperator:
             return _eval_template(template, args)
 
         return OperatorSpec(
-            name=name or self.default_name(),
+            name=self.default_name(),
             params=params,
             return_type=self.return_type,
             fn=fn,
@@ -163,14 +163,14 @@ def mine(rewarded_graphs, min_support: int = 10, min_size: int = 2) -> list:
 MAX_MINED_ARITY = 2  # the action grammar supports the same arities as base operators
 
 
-def register(mined: MinedOperator, registry: Registry, name: str | None = None):
+def register(mined: MinedOperator, registry: Registry):
     """Extend the registry with a mined operator at the next free index;
     returns (new registry, new spec)."""
     if mined.arity > MAX_MINED_ARITY:
         raise ValueError(
             f"template arity {mined.arity} exceeds the supported maximum of {MAX_MINED_ARITY}"
         )
-    spec = mined.to_operator_spec(name)
+    spec = mined.to_operator_spec()
     return registry.extend(spec), spec
 
 

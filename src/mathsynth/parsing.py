@@ -10,6 +10,7 @@ question ("wrt x" after "w(x)", but not the article "a").
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -17,17 +18,14 @@ from .values import (
     EQUATION,
     EXPRESSION,
     FUNCTION,
+    NUMBER,
     MathParseError,
     Sym,
     TypedValue,
     _Scanner,
     _parse_expr,
-    equation,
     free_symbols,
-    function,
-    function_head,
-    is_digit,
-    parse_value,
+    typed,
     variable,
 )
 
@@ -70,14 +68,6 @@ def _fragment_variables(v: TypedValue) -> set:
     return set()
 
 
-def _type_fragment(text: str, lhs, rhs) -> TypedValue:
-    """Typed value for a parsed fragment; rhs None means bare expression."""
-    if rhs is not None:
-        head = function_head(lhs)
-        return equation(lhs, rhs) if head is None else function(*head, rhs)
-    return parse_value(text)
-
-
 def _try_fragment(question: str, start: int):
     """Maximal grammar parse from `start`; returns (lhs, rhs, end) or None."""
     sc = _Scanner(question, start)
@@ -98,44 +88,32 @@ def _try_fragment(question: str, start: int):
     return lhs, rhs, end
 
 
+# an English word, or a variable or call head when it has one letter or a '('
+_WORD = re.compile(r"[A-Za-z][A-Za-z_]*")
+
+
 def _starts_math(question: str, i: int) -> bool:
-    """Could a math fragment start at position i (after a leading '-')?
-    Digits yes; letters only as single-letter variables or call heads, so
-    hyphenated English words do not become fragments."""
-    n = len(question)
-    if i >= n:
-        return False
-    if is_digit(question[i]):
+    """Could a math fragment start at position i?  Digits yes; letters only
+    as single-letter variables or call heads, so English words (hyphenated
+    ones included) do not become fragments."""
+    if NUMBER.match(question, i):
         return True
-    if not question[i].isalpha():
-        return False
-    j = i
-    while j < n and (question[j].isalpha() or question[j] == "_"):
-        j += 1
-    return (j - i) == 1 or (j < n and question[j] == "(")
+    word = _WORD.match(question, i)
+    return word is not None and (word.end() - i == 1 or question.startswith("(", word.end()))
 
 
 def extract_inputs(question: str) -> list:
     """Ordered typed inputs appearing in the question text."""
-    found = []  # (position, text, TypedValue or pending name)
+    found = []  # (position, TypedValue)
     pending = []  # (position, letter)
     i = 0
     n = len(question)
     while i < n:
-        ch = question[i]
-        if is_digit(ch) or (ch == "-" and _starts_math(question, i + 1)):
-            parsed = _try_fragment(question, i)
-        elif ch.isalpha():
-            j = i
-            while j < n and (question[j].isalpha() or question[j] == "_"):
-                j += 1
-            word = question[i:j]
-            if len(word) > 1 and (j >= n or question[j] != "("):
-                i = j  # English word
-                continue
+        if _starts_math(question, i) or (question[i] == "-" and _starts_math(question, i + 1)):
             parsed = _try_fragment(question, i)
         else:
-            i += 1
+            word = _WORD.match(question, i)  # skip an English word whole
+            i = i + 1 if word is None else word.end()
             continue
         if parsed is None:
             i += 1
@@ -145,10 +123,7 @@ def extract_inputs(question: str) -> list:
         if rhs is None and isinstance(lhs, Sym) and len(text) == 1:
             pending.append((i, text))
         else:
-            try:
-                found.append((i, _type_fragment(text, lhs, rhs)))
-            except (MathParseError, ValueError):
-                pass
+            found.append((i, typed(lhs, rhs, text)))
         i = max(end, i + 1)
 
     mentioned = set()

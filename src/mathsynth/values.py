@@ -8,6 +8,7 @@ that answer comparison can be plain string equality.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -611,13 +612,12 @@ def render(v: TypedValue) -> str:
 #   power    := atom ('**' INTEGER)?
 #   atom     := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 #
-# Division is exact scaling: the divisor must be numeric.
+# Division is exact scaling: the divisor must be numeric.  Numbers and
+# identifiers are ASCII: str.isdigit and str.isalnum also accept characters
+# such as '²' that are not part of the grammar.
 
-
-def is_digit(ch: str) -> bool:
-    """ASCII 0-9 only: str.isdigit also accepts digits such as '²' that
-    int() rejects."""
-    return "0" <= ch <= "9"
+NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class _Scanner:
@@ -639,39 +639,24 @@ class _Scanner:
             return True
         return False
 
-    def number(self):
+    def token(self, pattern: re.Pattern):
+        """The text of pattern matched after whitespace, or None."""
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and is_digit(self.text[self.pos]):
-            self.pos += 1
-        if self.pos == start:
+        m = pattern.match(self.text, self.pos)
+        if m is None:
             return None
-        # decimal point only between digits
-        if (
-            self.peek() == "."
-            and self.pos + 1 < len(self.text)
-            and is_digit(self.text[self.pos + 1])
-        ):
-            self.pos += 1
-            frac_start = self.pos
-            while self.pos < len(self.text) and is_digit(self.text[self.pos]):
-                self.pos += 1
-            whole = self.text[start : frac_start - 1]
-            frac = self.text[frac_start : self.pos]
-            return Fraction(int(whole + frac), 10 ** len(frac))
-        return Fraction(int(self.text[start : self.pos]))
+        self.pos = m.end()
+        return m.group()
+
+    def number(self):
+        tok = self.token(NUMBER)
+        if tok is None:
+            return None
+        # Fraction(str) takes about three times as long as Fraction(int)
+        return Fraction(tok) if "." in tok else Fraction(int(tok))
 
     def ident(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and (self.text[self.pos].isalpha() or self.text[self.pos] == "_"):
-            self.pos += 1
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            return self.text[start : self.pos]
-        return None
+        return self.token(IDENT)
 
 
 def _parse_expr(sc: _Scanner):
@@ -805,28 +790,33 @@ def _parse_value_inner(text: str, expected_kind: str | None) -> TypedValue:
         if not all(isinstance(i, Num) for i in items):
             raise MathParseError("set elements must be numeric", 0)
         return value_set(i.value for i in items)
-    if "=" in text:
-        lhs_text, _, rhs_text = text.partition("=")
-        lhs = parse_expression(lhs_text)
-        rhs = parse_expression(rhs_text)
+    lhs_text, eq, rhs_text = text.partition("=")
+    lhs = parse_expression(lhs_text)
+    return typed(lhs, parse_expression(rhs_text) if eq else None, text, expected_kind)
+
+
+def typed(lhs, rhs, text: str, expected_kind: str | None = None) -> TypedValue:
+    """The typed value of a parsed `lhs = rhs`, or of the bare expression lhs
+    when rhs is None; text is their source, where a '/' marks a Rational.
+    `f(x) = ...` is a Function unless an Equation is expected."""
+    if rhs is not None:
         head = function_head(lhs)
         if head is not None and expected_kind != EQUATION:
             return function(*head, rhs)
         return equation(lhs, rhs)
-    e = parse_expression(text)
-    if isinstance(e, Num):
+    if isinstance(lhs, Num):
         if expected_kind == SET_OF_VALUE:
-            return value_set((e.value,))
+            return value_set((lhs.value,))
         if expected_kind == RATIONAL:
-            return TypedValue(RATIONAL, e.value)
-        if expected_kind != VALUE and "/" in text and e.value.denominator != 1:
-            return TypedValue(RATIONAL, e.value)
-        return TypedValue(VALUE, e.value)
-    if isinstance(e, Sym):
+            return TypedValue(RATIONAL, lhs.value)
+        if expected_kind != VALUE and "/" in text and lhs.value.denominator != 1:
+            return TypedValue(RATIONAL, lhs.value)
+        return TypedValue(VALUE, lhs.value)
+    if isinstance(lhs, Sym):
         if expected_kind == EXPRESSION:
-            return expression(e)
-        return variable(e.name)
-    return expression(e)
+            return expression(lhs)
+        return variable(lhs.name)
+    return expression(lhs)
 
 
 def _split_top_level(text: str) -> list:

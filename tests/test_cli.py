@@ -119,7 +119,22 @@ def test_train_rejects_bad_config_value(tmp_path, capsys, key, value):
     assert code == 1
     assert "error:" in err
     assert "Traceback" not in err and "internal error" not in err
-    assert not (out / "checkpoint.npz").exists()
+    assert not out.exists()
+
+
+def test_train_rejected_by_its_problem_pools_leaves_no_out_directory(tmp_path, capsys):
+    # div_remainder problems have 2 inputs; train() rejects the pools before
+    # its first step, after the config itself has been accepted
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        TINY_RUN.replace("numbers__is_prime", "numbers__is_prime,numbers__div_remainder")
+        + "n_inputs = 1\n"
+    )
+    out = tmp_path / "run"
+    code, _, err = run(capsys, "train", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert "n_inputs is 1" in err
+    assert not out.exists()
 
 
 def test_train_divergence_is_a_data_error(tmp_path, capsys):
@@ -335,9 +350,10 @@ def test_resume_rejects_other_feature_settings(tmp_path, capsys, line):
     # asks for others would be silently ignored
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY_RUN)
-    first = tmp_path / "run"
+    first = tmp_path / "runs" / "first"  # nested and not yet existing
     code, _, err = run(capsys, "train", "--config", str(cfg), "--out", str(first))
     assert code == 0, err
+    assert (first / "metrics.jsonl").exists() and (first / "checkpoint.npz").exists()
     cfg.write_text(TINY_RUN.replace("feature_dim = 1024\n", "") + line)
     out = tmp_path / "resumed"
     code, _, err = run(
@@ -347,8 +363,7 @@ def test_resume_rejects_other_feature_settings(tmp_path, capsys, line):
     assert code == 1
     assert "error:" in err
     assert "Traceback" not in err and "internal error" not in err
-    assert not (out / "checkpoint.npz").exists()
-    assert not (out / "metrics.jsonl").exists()
+    assert not out.exists()
 
 
 def test_train_multi_seed_reports_the_median_trial(tmp_path, capsys):

@@ -20,8 +20,14 @@ def kinds_and_texts(values):
 
 
 def test_extract_inputs_reads_only_ascii_digits():
-    # '²' passes str.isdigit but not int(); it is skipped like other text
+    # '²' passes str.isdigit and str.isalnum but is not in the grammar; it is
+    # skipped like other text, after a digit and after a letter
     assert kinds_and_texts(extract_inputs("What is 2²?")) == [("Value", "2")]
+    assert kinds_and_texts(extract_inputs("Let f(x) = x² + 1. What is f(2)?")) == [
+        ("Function", "f(x) = x"),
+        ("Value", "1"),
+        ("Expression", "f(2)"),
+    ]
     with pytest.raises(ExtractionError):
         extract_inputs("What is ²?")
 

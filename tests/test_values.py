@@ -113,9 +113,10 @@ def test_division_by_expression_is_rejected():
         parse_expression("x +")
 
 
-def test_non_ascii_digits_are_a_parse_error():
-    # str.isdigit accepts '²', which int() then rejects with a bare ValueError
-    for text in ("2²", "²", "1.5²"):
+def test_non_ascii_characters_are_a_parse_error():
+    # str.isdigit and str.isalnum accept '²' and 'é', which the grammar does
+    # not: numbers and identifiers are ASCII
+    for text in ("2²", "²", "1.5²", "x²", "é"):
         with pytest.raises(MathParseError):
             parse_value(text)
 
