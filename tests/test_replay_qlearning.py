@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from collections import deque
@@ -377,3 +378,59 @@ def test_train_rejects_a_pool_problem_before_the_first_step(monkeypatch):
     with pytest.raises(ProblemRejected, match="div_remainder problem has 2 inputs but n_inputs is 1"):
         train(config)
     assert steps == []
+
+
+TRAIN_DIGEST = "cce61a7724eeca09a948449b7b6b2fdb748aa0dcc4af287360795865ee903221"
+
+
+def _rounded(x):
+    # 10 significant digits, so the pin does not hang on the last bit of a
+    # numpy summation
+    if isinstance(x, float):
+        return f"{x:.10g}"
+    if isinstance(x, dict):
+        return [(k, _rounded(v)) for k, v in sorted(x.items())]
+    return x
+
+
+def test_train_runs_are_pinned():
+    # env steps, updates, every metrics record and the weights of short runs
+    # that cover a fill episode running past total_steps, learning from an
+    # empty buffer, several updates per step, two modules and resuming; the
+    # digest guards refactors of the training loop
+    base = {
+        "modules": "numbers__div_remainder",
+        "learning_rate": "0.05",
+        "batch_size": "32",
+        "target_sync": "50",
+        "init_steps": "600",
+        "total_steps": "1500",
+        "train_problems_per_module": "50",
+        "eval_problems_per_module": "10",
+        "eval_interval": "250",
+    }
+    cases = [
+        {"modules": "numbers__is_prime,numbers__is_factor"},
+        {"init_steps": "2000", "total_steps": "900"},
+        {"init_steps": "0", "eval_interval": "7"},
+        {"updates_per_step": "2", "eval_interval": "1500"},
+    ]
+    digest = hashlib.sha256()
+    for case in cases:
+        config = TrainConfig.from_mapping({**base, **case})
+        first = train(config)
+        more = dataclasses.replace(config, total_steps=first.env_steps + 300)
+        for result in (first, train(more, resume=(first.q.clone(), first.env_steps))):
+            nonzero = np.flatnonzero(result.q.weights)
+            digest.update(
+                repr(
+                    (
+                        result.env_steps,
+                        result.updates,
+                        [_rounded(record) for record in result.metrics],
+                        nonzero.tolist(),
+                        [_rounded(float(w)) for w in result.q.weights.flat[nonzero]],
+                    )
+                ).encode()
+            )
+    assert digest.hexdigest() == TRAIN_DIGEST
