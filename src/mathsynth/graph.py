@@ -139,12 +139,15 @@ class ComputeGraph:
         return f"{node.name}({','.join(parts)})"
 
 
-def deserialize(text: str, registry: Registry, max_nodes: int = 64) -> ComputeGraph:
+MAX_TEXT_NODES = 64  # deserialize's bound on the nodes of one graph text
+
+
+def deserialize(text: str, registry: Registry) -> ComputeGraph:
     """Parse the nested functional notation back into a graph (round-trip
-    of serialize).  A text of more than max_nodes nodes raises
-    StructuralError as soon as the parser reaches its node max_nodes + 1,
-    which also bounds the parser's recursion depth."""
-    tree, pos, _ = _parse_tree(text, 0, registry, max_nodes)
+    of serialize).  A text of more than MAX_TEXT_NODES nodes raises
+    StructuralError as soon as the parser reaches one node more, which also
+    bounds the parser's recursion depth."""
+    tree, pos, _ = _parse_tree(text, 0, registry, MAX_TEXT_NODES)
     if pos != len(text):
         raise MathParseError("trailing input after graph", pos)
     graph = ComputeGraph()

@@ -27,7 +27,6 @@ from .values import (
     coeffs_to_poly,
     equation,
     expression,
-    fmt_rational,
     function,
     mul,
     poly_to_expr,
@@ -243,8 +242,8 @@ def _gen_lcm(rng):
     answer = str(r1.denominator * r2.denominator // _gcd(r1.denominator, r2.denominator))
     q = rng.choice(
         [
-            f"Calculate the common denominator of {fmt_rational(r1)} and {fmt_rational(r2)}.",
-            f"Find the common denominator of {fmt_rational(r1)} and {fmt_rational(r2)}.",
+            f"Calculate the common denominator of {r1} and {r2}.",
+            f"Find the common denominator of {r1} and {r2}.",
         ]
     )
     inputs = [rational(r1), rational(r2)]
@@ -310,7 +309,7 @@ def _gen_polynomial_roots(rng):
         poly = {m: lead * c for m, c in poly.items()}
         poly_text = render_expr(poly_to_expr(poly))
         distinct = sorted(set(roots))
-        answer = ", ".join(fmt_rational(r) for r in distinct)
+        answer = ", ".join(map(str, distinct))
         eq = equation(poly_to_expr(poly), Num(Fraction(0)))
         style = rng.randrange(3)
         if style == 0:
@@ -519,6 +518,8 @@ def split(problems, fractions, seed: int):
     problems = list(problems)
     if not problems:
         raise ValueError("cannot split an empty problem list")
+    if any(f < 0 for f in fractions):
+        raise ValueError(f"fractions must not be negative, got {list(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     rng = random.Random(seed)

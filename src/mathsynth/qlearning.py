@@ -21,7 +21,7 @@ from .operators import Registry, default_registry
 from .parsing import Observation
 from .problems import SUPPORTED_MODULES, generate
 from .replay import ReplayBuffer
-from .search import Step, random_action, random_rollout, run_episode
+from .search import Step, play, random_action, run_episode
 
 
 class TrainingDiverged(RuntimeError):
@@ -248,8 +248,10 @@ def train(
     metrics_sink=None,
     resume: tuple | None = None,
 ) -> TrainResult:
-    """Run the full loop: balanced random-policy buffer initialization, then
-    epsilon-greedy acting interleaved with prioritized batch updates.
+    """Run the episode loop.  An episode that starts before init_steps env
+    steps acts uniformly at random and runs to its end with no update (the
+    balanced buffer fill); a later one acts epsilon-greedily, runs a
+    prioritized batch update after every step and stops at total_steps.
 
     metrics_sink, if given, is called with each metrics record (a dict).
     resume is an optional (QFunction, env_steps) pair from a checkpoint; the
@@ -297,9 +299,14 @@ def train(
     metrics: list = []
     updates = 0
     last_loss = float("nan")
-    last_eval_step = -1
 
-    def emit(record):
+    def log_eval():
+        record = {
+            "step": env_steps,
+            "epsilon": schedule.value(env_steps),
+            "loss": last_loss,
+            "eval": evaluate(q, eval_env, eval_pool),
+        }
         metrics.append(record)
         if metrics_sink is not None:
             metrics_sink(record)
@@ -316,44 +323,20 @@ def train(
             positive=any(s.reward for s in steps),
         )
 
-    def maybe_eval(force=False):
-        nonlocal last_eval_step
-        if (force or env_steps % config.eval_interval == 0) and env_steps != last_eval_step:
-            last_eval_step = env_steps
-            per_module = evaluate(q, eval_env, eval_pool)
-            emit(
-                {
-                    "step": env_steps,
-                    "epsilon": schedule.value(env_steps),
-                    "loss": last_loss,
-                    "eval": per_module,
-                }
-            )
+    def act(obs, mask):
+        # a fill episode is uniformly random and draws no epsilon
+        if filling or rng.random() < schedule.value(env_steps):
+            return random_action(mask, env.n_actions, rng)
+        return q.greedy_action(q.features(obs), mask)
 
-    # phase 1: balanced buffer initialization from a uniform random policy
-    init_budget = min(config.init_steps, config.total_steps)
-    while env_steps < init_budget:
-        record = random_rollout(env, rng.choice(train_pool), rng, respect_mask=True)
-        env_steps += len(record.steps)
-        store(record.steps)
-
-    # phase 2: epsilon-greedy acting with interleaved batch updates
     while env_steps < config.total_steps:
-        problem = rng.choice(train_pool)
-        obs = env.reset(problem)
-        mask = env.compute_mask()
-        done = False
+        filling = env_steps < config.init_steps
         steps = []
-        while not done and env_steps < config.total_steps:
-            epsilon = schedule.value(env_steps)
-            if rng.random() < epsilon:
-                action = random_action(mask, env.n_actions, rng)
-            else:
-                action = q.greedy_action(q.features(obs), mask)
-            next_obs, reward, done, info = env.step(action)
-            steps.append(Step(obs, action, reward, next_obs, done, info["mask"]))
-            obs, mask = next_obs, info["mask"]
+        for step, _ in play(env, rng.choice(train_pool), act):
+            steps.append(step)
             env_steps += 1
+            if filling:
+                continue
             # batches sample with replacement, so a small balanced buffer
             # (few rewarded trajectories yet) is already usable
             if len(buffer) > 0:
@@ -362,9 +345,12 @@ def train(
                     updates += 1
                     if updates % config.target_sync == 0:
                         target.weights[:] = q.weights
-            maybe_eval()
-        if steps:
-            store(steps)
+            if env_steps % config.eval_interval == 0:
+                log_eval()
+            if env_steps == config.total_steps:
+                break
+        store(steps)
 
-    maybe_eval(force=True)
+    if not metrics or metrics[-1]["step"] != env_steps:
+        log_eval()
     return TrainResult(q, metrics, env_steps, updates, registry, config)

@@ -57,23 +57,29 @@ class EpisodeRecord:
         )
 
 
-def run_episode(env: Environment, problem: Problem, policy) -> EpisodeRecord:
-    """Drive one episode with policy(observation, mask) -> action."""
+def play(env: Environment, problem: Problem, policy):
+    """Drive one episode with policy(observation, mask) -> action, yielding
+    (Step, info) after each environment step."""
     obs = env.reset(problem)
-    steps = []
-    done = False
     mask = env.compute_mask()
+    done = False
     while not done:
         action = int(policy(obs, mask))
         next_obs, reward, done, info = env.step(action)
-        next_mask = info["mask"]
-        steps.append(Step(obs, action, reward, next_obs, done, next_mask))
-        obs, mask = next_obs, next_mask
+        yield Step(obs, action, reward, next_obs, done, info["mask"]), info
+        obs, mask = next_obs, info["mask"]
+
+
+def run_episode(env: Environment, problem: Problem, policy) -> EpisodeRecord:
+    """Play one episode to its end with policy(observation, mask) -> action."""
+    steps = []
+    for step, info in play(env, problem, policy):
+        steps.append(step)
     # the last step's text: the serialized graph once complete, with '?'
     # for the open slots of a graph cut short
     return EpisodeRecord(
         problem=problem,
-        reward=reward,
+        reward=step.reward,
         steps=steps,
         graph_text=info["graph"],
         output=info["output"],

@@ -302,10 +302,7 @@ def _mono_mul(m1, m2):
 
 
 def poly_vars(p) -> list:
-    out = set()
-    for m in p:
-        out.update(v for v, _ in m)
-    return sorted(out)
+    return sorted({v for m in p for v, _ in m})
 
 
 def poly_degree(p) -> int:
@@ -414,17 +411,14 @@ def rational_roots(coeffs):
         scale = math.lcm(*(c.denominator for c in work))
         ints = [int(c * scale) for c in work]
         a0, an = ints[0], ints[-1]
-        found = None
-        for q in _divisors(an):
-            for pnum in _divisors(a0):
-                for cand in (Fraction(pnum, q), Fraction(-pnum, q)):
-                    if _eval_coeffs(work, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        # p/q with p | a0 and q | an, in the order q, then p, then + before -
+        candidates = (
+            Fraction(sign * p, q)
+            for q in _divisors(an)
+            for p in _divisors(a0)
+            for sign in (1, -1)
+        )
+        found = next((c for c in candidates if _eval_coeffs(work, c) == 0), None)
         if found is None:
             break
         roots.append(found)
@@ -527,12 +521,6 @@ def as_expr(v: TypedValue):
 # Rendering
 
 
-def fmt_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _render_factor(f) -> str:
     s = render_expr(f)
     if isinstance(f, (Add, Mul)):
@@ -542,7 +530,7 @@ def _render_factor(f) -> str:
 
 def render_expr(e) -> str:
     if isinstance(e, Num):
-        return fmt_rational(e.value)
+        return str(e.value)
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Call):
@@ -578,7 +566,7 @@ def render(v: TypedValue) -> str:
     if k == BOOLEAN:
         return "True" if v.payload else "False"
     if k in (VALUE, RATIONAL):
-        return fmt_rational(v.payload)
+        return str(v.payload)
     if k == VARIABLE:
         return v.payload
     if k == EXPRESSION:
@@ -599,7 +587,7 @@ def render(v: TypedValue) -> str:
         )
         return "{" + items + "}"
     if k == SET_OF_VALUE:
-        return ", ".join(fmt_rational(x) for x in v.payload)
+        return ", ".join(map(str, v.payload))
     raise LookupError(f"unknown value kind: {k!r}")
 
 

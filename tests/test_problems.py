@@ -118,3 +118,6 @@ def test_split_deterministic_and_validating():
         split([], (1.0,), seed=0)
     with pytest.raises(ValueError):
         split(problems, (0.5, 0.2), seed=0)
+    # the fractions sum to 1, but one of them is negative
+    with pytest.raises(ValueError, match="negative"):
+        split(list(range(10)), [1.5, -0.5], seed=0)

@@ -203,7 +203,7 @@ def test_storing_an_episode_hashes_each_observation_once(monkeypatch):
 
     monkeypatch.setattr(QFunction, "features", counted_features)
     monkeypatch.setattr(ReplayBuffer, "insert", recorded_insert)
-    # epsilon 1 acts at random in both phases and nothing is evaluated before
+    # epsilon 1 acts at random in every episode and nothing is evaluated before
     # the end, so every features call between two inserts comes from storing
     train(
         _tiny_config(
