@@ -96,8 +96,7 @@ def action_mask(registry: Registry, inputs, n_inputs: int, graph: ComputeGraph) 
     slot_type = graph.next_slot_type()
     if slot_type is None:
         return mask
-    for i, spec in enumerate(registry):
-        mask[i] = is_subtype(spec.return_type, slot_type)
+    mask[:n_ops] = registry.operator_row(slot_type)
     for i, value in enumerate(inputs):
         mask[n_ops + i] = is_subtype(value.kind, slot_type)
     return mask

@@ -89,14 +89,19 @@ class ComputeGraph:
         del self.slots[self.first_slot.pop() :]
         return self
 
-    def evaluate(self) -> TypedValue:
+    def evaluate(self, memo: dict | None = None) -> TypedValue:
         """Bottom-up evaluation; incomplete graphs and type-violating
-        placements compute Absent."""
+        placements compute Absent.
+
+        memo, if given, maps (operator name, *argument values) to the
+        operator's output and is filled as evaluation goes.  Operators are
+        pure and values compare structurally, so one memo may serve every
+        graph built over one registry."""
         if not self.is_complete:
             return ABSENT
-        return self._eval_node(0)
+        return self._eval_node(0, memo)
 
-    def _eval_node(self, idx: int) -> TypedValue:
+    def _eval_node(self, idx: int, memo: dict | None) -> TypedValue:
         node = self.nodes[idx]
         if not isinstance(node, OperatorSpec):
             return node
@@ -106,10 +111,16 @@ class ComputeGraph:
             kind = child.return_type if isinstance(child, OperatorSpec) else child.kind
             # the same subtype check the mask applies at placement time
             if is_subtype(kind, self.slots[child_idx - 1][1]):
-                args.append(self._eval_node(child_idx))
+                args.append(self._eval_node(child_idx, memo))
             else:
                 args.append(ABSENT)
-        return node.eval(*args)
+        if memo is None:
+            return node.eval(*args)
+        key = (node.name, *args)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = node.eval(*args)
+        return out
 
     # -- text form ----------------------------------------------------------
 

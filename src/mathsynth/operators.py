@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .values import (
     ABSENT,
     ABSENT_KIND,
@@ -23,6 +25,7 @@ from .values import (
     OBJECT,
     RATIONAL,
     SET_OF_VALUE,
+    TYPE_TAGS,
     VALUE,
     VARIABLE,
     Call,
@@ -39,6 +42,7 @@ from .values import (
     free_symbols,
     function,
     function_head,
+    is_subtype,
     map_children,
     mul,
     poly_degree,
@@ -507,6 +511,13 @@ class Registry:
         self._by_name = {s.name: i for i, s in enumerate(self.specs)}
         if len(self._by_name) != len(self.specs):
             raise ValueError("duplicate operator names in registry")
+        # the operator half of every action mask: one read-only row per slot
+        # type, True where the operator's return type may fill the slot
+        self._rows = {}
+        for tag in TYPE_TAGS:
+            row = np.array([is_subtype(s.return_type, tag) for s in self.specs], dtype=bool)
+            row.flags.writeable = False
+            self._rows[tag] = row
 
     @property
     def n_ops(self) -> int:
@@ -526,6 +537,11 @@ class Registry:
 
     def get(self, name: str) -> OperatorSpec:
         return self.specs[self._by_name[name]]
+
+    def operator_row(self, slot_type: str) -> np.ndarray:
+        """Read-only boolean row over the operators: which may fill a slot
+        of slot_type."""
+        return self._rows[slot_type]
 
     def extend(self, spec: OperatorSpec) -> "Registry":
         if spec.name in self._by_name:

@@ -311,10 +311,20 @@ def train(
         if metrics_sink is not None:
             metrics_sink(record)
 
+    hashed = {}  # this episode's observation features, by history length
+
+    def features(obs):
+        # acting and storing share one hash of each observation; features
+        # do not depend on the weights, so updates leave them valid
+        t = len(obs.history)
+        if t not in hashed:
+            hashed[t] = q.features(obs)
+        return hashed[t]
+
     def store(steps):
-        # step t+1 observes what step t led to, so each observation is hashed once
-        feats = [q.features(steps[0].observation)]
-        feats.extend(q.features(s.next_observation) for s in steps)
+        # step t+1 observes what step t led to
+        feats = [features(steps[0].observation)]
+        feats.extend(features(s.next_observation) for s in steps)
         buffer.insert(
             [
                 replace(s, observation=feats[t], next_observation=feats[t + 1])
@@ -327,11 +337,12 @@ def train(
         # a fill episode is uniformly random and draws no epsilon
         if filling or rng.random() < schedule.value(env_steps):
             return random_action(mask, env.n_actions, rng)
-        return q.greedy_action(q.features(obs), mask)
+        return q.greedy_action(features(obs), mask)
 
     while env_steps < config.total_steps:
         filling = env_steps < config.init_steps
         steps = []
+        hashed.clear()
         for step, _ in play(env, rng.choice(train_pool), act):
             steps.append(step)
             env_steps += 1

@@ -109,6 +109,7 @@ class SearchResult:
     n_complete: int = 0  # complete masked graphs enumerated
     n_expanded: int = 0  # nodes placed during the search
     n_pruned: int = 0  # masked placements skipped because they could not complete
+    n_evaluated: int = 0  # distinct operator evaluations: the memo's final size
 
 
 def exhaustive_solve(
@@ -126,9 +127,15 @@ def exhaustive_solve(
     and counted in n_pruned, not in n_expanded.  n_expanded counts only
     placements that can still complete.  The search adds and pops nodes on
     one graph and updates one SearchResult as it goes; the allowed actions
-    are taken from action_mask once per slot type.  Under iterative
-    deepening a complete graph smaller than the current limit was already
-    judged at its own limit, so it is counted again but not re-evaluated.
+    are taken from action_mask once per slot type, so only their input
+    half is computed for the problem (the operator half is the registry's
+    cached row).  Under iterative deepening a complete graph smaller than
+    the current limit was already judged at its own limit, so it is
+    counted again but not re-evaluated.
+
+    Complete graphs are evaluated through one memo for the whole call, so
+    an operator runs once per distinct tuple of argument values however
+    many graphs share it; n_evaluated is the number of such runs.
     """
     registry = env.registry
     n_inputs = env.config.n_inputs
@@ -141,6 +148,7 @@ def exhaustive_solve(
     graph = ComputeGraph()
     actions = []
     result = SearchResult()
+    memo = {}  # (operator name, *argument values) -> output, for this call
 
     def dfs(limit: int) -> bool:
         if graph.is_complete:
@@ -148,7 +156,7 @@ def exhaustive_solve(
             if (
                 result.actions is None
                 and (count_all or len(graph) == limit)
-                and earns_reward(graph.evaluate(), problem)
+                and earns_reward(graph.evaluate(memo), problem)
             ):
                 result.actions = tuple(actions)
             return result.actions is not None and not count_all
@@ -179,4 +187,5 @@ def exhaustive_solve(
         for limit in range(1, max_nodes + 1):
             if dfs(limit):
                 break
+    result.n_evaluated = len(memo)
     return result

@@ -4,11 +4,29 @@ import random
 import numpy as np
 import pytest
 
-from mathsynth.environment import EnvConfig, Environment, ProblemRejected, earns_reward
+from mathsynth.environment import (
+    EnvConfig,
+    Environment,
+    ProblemRejected,
+    action_mask,
+    earns_reward,
+)
+from mathsynth.graph import ComputeGraph
+from mathsynth.mining import mine, register
+from mathsynth.operators import default_registry, full_registry
 from mathsynth.parsing import Problem, extract_inputs, train_bpe
-from mathsynth.problems import SUPPORTED_MODULES, generate
+from mathsynth.problems import SUPPORTED_MODULES, differentiate_wrt_problems, generate
 from mathsynth.search import random_action
-from mathsynth.values import ABSENT, VARIABLE, expression, parse_expression
+from mathsynth.values import (
+    ABSENT,
+    TYPE_TAGS,
+    VARIABLE,
+    expression,
+    is_subtype,
+    parse_expression,
+    value,
+    variable,
+)
 
 
 def derivative_problem() -> Problem:
@@ -68,6 +86,51 @@ def test_mask_by_slot_type():
     assert mask[env.n_ops + 1]
     assert mask[env.registry.index_of("factor")]
     assert not mask[env.registry.index_of("is_prime")]  # Boolean return
+
+
+def mined_registry():
+    # the full registry plus the operator mined from second derivatives
+    registry = full_registry()
+    env = Environment(registry, EnvConfig(univariate_differentiate_only=False))
+    graphs = []
+    for gp in differentiate_wrt_problems(12, 3, registry, order=2, multivariate=True):
+        env.replay(gp.problem, gp.truth_graph)
+        graphs.append(env.state.graph.copy())
+    return register(mine(graphs, min_support=10, min_size=2)[0], registry)[0]
+
+
+@pytest.mark.parametrize("make_registry", [default_registry, full_registry, mined_registry])
+def test_mask_rows_match_a_per_operator_subtype_reference(make_registry):
+    registry = make_registry()
+    inputs = (value(3), variable("k"), expression(parse_expression("k**2 - 2")))
+    n_inputs, n_ops = 4, registry.n_ops  # the fourth input position is a None action
+    graph = ComputeGraph()
+    mask = action_mask(registry, inputs, n_inputs, graph)
+    assert mask.tolist() == [True] * n_ops + [False] * n_inputs
+    slot_types = set()
+    for spec in registry:
+        for k, (_, slot_type) in enumerate(spec.params):
+            # the root's slots are filled first, so k leaves reach its k-th slot
+            graph = ComputeGraph().add_node(spec)
+            for _ in range(k):
+                graph.add_node(value(0))
+            assert graph.next_slot_type() == slot_type
+            mask = action_mask(registry, inputs, n_inputs, graph)
+            want = [is_subtype(s.return_type, slot_type) for s in registry]
+            want += [is_subtype(v.kind, slot_type) for v in inputs] + [False]
+            assert mask.tolist() == want
+            mask[:] = True  # the caller's own array: the next masks stay exact
+            slot_types.add(slot_type)
+        graph = ComputeGraph().add_node(spec)
+        for _ in spec.params:
+            graph.add_node(value(0))
+        assert graph.is_complete
+        assert not action_mask(registry, inputs, n_inputs, graph).any()
+    assert len(slot_types) > 3
+    for tag in TYPE_TAGS:
+        row = registry.operator_row(tag)
+        with pytest.raises(ValueError):
+            row[0] = not row[0]
 
 
 def test_none_input_actions_are_masked():

@@ -215,6 +215,42 @@ def test_storing_an_episode_hashes_each_observation_once(monkeypatch):
     assert all(n_calls == n + 1 for n, n_calls in inserted)
 
 
+def test_greedy_acting_and_storing_share_each_observation_hash(monkeypatch):
+    from mathsynth import qlearning
+
+    calls = []
+    stored = []  # steps per inserted episode
+    before_eval = []  # features calls made before each evaluation
+    features, insert, evaluate_ = QFunction.features, ReplayBuffer.insert, qlearning.evaluate
+
+    def counted_features(self, obs):
+        calls.append(obs)
+        return features(self, obs)
+
+    def recorded_insert(self, steps, positive):
+        stored.append(len(steps))
+        return insert(self, steps, positive)
+
+    def recorded_evaluate(*args):
+        before_eval.append(len(calls))
+        return evaluate_(*args)
+
+    monkeypatch.setattr(QFunction, "features", counted_features)
+    monkeypatch.setattr(ReplayBuffer, "insert", recorded_insert)
+    monkeypatch.setattr(qlearning, "evaluate", recorded_evaluate)
+    # epsilon 0 and no fill: every action is greedy and the only evaluation
+    # is the final one, so each observation is hashed once, by acting or by
+    # storing, and none twice
+    result = train(
+        _tiny_config(
+            modules=("numbers__div_remainder",), init_steps=0, total_steps=300,
+            epsilon_start=0.0, epsilon_end=0.0, eval_interval=10_000,
+        )
+    )
+    assert result.env_steps == sum(stored) == 300
+    assert before_eval == [300 + len(stored)]
+
+
 def test_double_dqn_target_decouples_selection_from_evaluation():
     online = QFunction(n_actions=3, feature_dim=64, feature_seed=0)
     target = QFunction(n_actions=3, feature_dim=64, feature_seed=0)

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from mathsynth.environment import Environment, action_mask
+from mathsynth.environment import EnvConfig, Environment, action_mask
 from mathsynth.graph import ComputeGraph
+from mathsynth.operators import OperatorSpec, full_registry
 from mathsynth.parsing import Problem, extract_inputs
-from mathsynth.problems import SUPPORTED_MODULES, generate
+from mathsynth.problems import SUPPORTED_MODULES, differentiate_wrt_problems, generate
 from mathsynth.search import exhaustive_solve, random_rollout
 from mathsynth.values import render
 
@@ -130,6 +131,68 @@ def test_search_reports_its_prunes():
     # every operator opens a slot, so no root placement fits in one node
     res = exhaustive_solve(env, p, max_nodes=1, count_all=True)
     assert (res.n_complete, res.n_expanded, res.n_pruned) == (0, 0, env.n_ops)
+
+
+def masked_graphs(env, problem, max_nodes):
+    """Every complete masked graph of at most max_nodes nodes, in
+    lexicographic action order; the one graph is yielded after each
+    placement that completes it."""
+    n_ops, n_inputs = env.registry.n_ops, env.config.n_inputs
+    graph = ComputeGraph()
+
+    def dfs():
+        if graph.is_complete:
+            yield graph
+            return
+        if len(graph) >= max_nodes:
+            return
+        mask = action_mask(env.registry, problem.inputs, n_inputs, graph)
+        for action in map(int, mask.nonzero()[0]):
+            graph.add_node(env.registry[action] if action < n_ops else problem.inputs[action - n_ops])
+            yield from dfs()
+            graph.pop_node()
+
+    return dfs()
+
+
+@pytest.mark.parametrize("module", SUPPORTED_MODULES + ("third_derivative",))
+def test_memoised_evaluation_matches_plain_evaluation(module):
+    if module in SUPPORTED_MODULES:
+        env, problem = Environment(), generate(module, 1, 11)[0].problem
+    else:  # the 23 operators of the full registry
+        registry = full_registry()
+        env = Environment(registry, EnvConfig(univariate_differentiate_only=False))
+        problem = differentiate_wrt_problems(1, 42, registry, order=3, multivariate=True)[0].problem
+    # one memo for every graph of the problem, as exhaustive_solve shares it
+    memo = {}
+    n = 0
+    for graph in masked_graphs(env, problem, 5):
+        plain, memoised = graph.evaluate(), graph.evaluate(memo)
+        assert (memoised.kind, render(memoised)) == (plain.kind, render(plain))
+        n += 1
+    assert n == exhaustive_solve(env, problem, max_nodes=5, count_all=True).n_complete > 0
+    assert 0 < len(memo) < n
+
+
+def test_search_reports_its_distinct_evaluations(monkeypatch):
+    # unsolvable within the bound, so count_all evaluates every complete graph
+    env = Environment()
+    problem = generate("algebra__linear_2d", 1, 5)[0].problem
+    calls = []
+    eval_ = OperatorSpec.eval
+
+    def counted_eval(self, *args):
+        calls.append(self.name)
+        return eval_(self, *args)
+
+    monkeypatch.setattr(OperatorSpec, "eval", counted_eval)
+    res = exhaustive_solve(env, problem, max_nodes=5, count_all=True)
+    assert res.actions is None and res.n_complete > 0
+    assert res.n_evaluated == len(calls)  # each distinct evaluation runs once
+    calls.clear()
+    for graph in masked_graphs(env, problem, 5):
+        graph.evaluate()
+    assert 0 < res.n_evaluated < len(calls)
 
 
 def test_count_all_masked_space_is_small():
