@@ -294,14 +294,11 @@ def test_determinism_of_episode():
 EPISODE_DIGEST = "5415f482ce94da13ded22532d834cfa13bf059f8197d1e4d167b4b1f7c976c6c"
 
 
-def test_episode_texts_outputs_and_rewards_are_pinned():
-    # the graph text after every step, the final output and the reward of
-    # truth-graph replays and seeded masked and unmasked rollouts; the digest
-    # guards refactors of the graph
-    env = Environment()
+def pinned_episodes(env):
+    """The 660 pinned episodes: for each of 20 problems per module (seed 29),
+    a truth-graph replay and seeded masked and unmasked rollouts.  Yields the
+    reset observation and the list of step results of each episode."""
     rng = random.Random(17)
-    digest = hashlib.sha256()
-    episodes = rewarded = 0
     for module in SUPPORTED_MODULES:
         for gp in generate(module, 20, 29):
             truth = iter(gp.truth_graph)
@@ -311,14 +308,53 @@ def test_episode_texts_outputs_and_rewards_are_pinned():
                 lambda mask: random_action(None, env.n_actions, rng),
             ]
             for policy in policies:
-                env.reset(gp.problem)
-                mask, done = env.compute_mask(), False
+                first = env.reset(gp.problem)
+                mask, done, steps = env.compute_mask(), False, []
                 while not done:
-                    _, reward, done, info = env.step(policy(mask))
+                    steps.append(env.step(policy(mask)))
+                    _, _, done, info = steps[-1]
                     mask = info["mask"]
-                    digest.update(f"{info['graph']}\n".encode())
-                digest.update(f"{info['output']}|{reward}\n".encode())
-                episodes += 1
-                rewarded += reward
+                yield first, steps
+
+
+def test_episode_texts_outputs_and_rewards_are_pinned():
+    # the graph text after every step, the final output and the reward of
+    # truth-graph replays and seeded masked and unmasked rollouts; the digest
+    # guards refactors of the graph
+    digest = hashlib.sha256()
+    episodes = rewarded = 0
+    for _, steps in pinned_episodes(Environment()):
+        for _, reward, _, info in steps:
+            digest.update(f"{info['graph']}\n".encode())
+        digest.update(f"{info['output']}|{reward}\n".encode())
+        episodes += 1
+        rewarded += reward
     assert episodes == 660 and rewarded >= 220
     assert digest.hexdigest() == EPISODE_DIGEST
+
+
+OBSERVATION_DIGESTS = {
+    False: "8b73cd1dfcb0a115f62913d4f65d2ffcb09e100930e05f83814a01144064aa0b",
+    True: "765e1ec54aa81b3b11f2a5509bc659a4edaa3bfab2010531d49d6b2d39d0c499",
+}
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+def test_observations_are_pinned(encoded):
+    # question, history and encoded flag of the reset observation and of every
+    # step observation of the pinned episodes, raw and through a codec trained
+    # on their questions; the digest guards the observation representation
+    codec = None
+    if encoded:
+        questions = [gp.problem.question for m in SUPPORTED_MODULES for gp in generate(m, 20, 29)]
+        base = len({c for q in questions for c in q})
+        codec = train_bpe(questions, vocab_size=base + 32, max_len=max(map(len, questions)))
+    env = Environment(config=EnvConfig(encoded_observations=encoded), codec=codec)
+    digest = hashlib.sha256()
+    n_observations = 0
+    for first, steps in pinned_episodes(env):
+        for obs in [first] + [step[0] for step in steps]:
+            digest.update(repr((obs.question, obs.history, obs.encoded)).encode() + b"\n")
+            n_observations += 1
+    assert n_observations == 4020
+    assert digest.hexdigest() == OBSERVATION_DIGESTS[encoded]
