@@ -27,7 +27,6 @@ from .parsing import (
     ExtractionError,
     Observation,
     Problem,
-    encode_observation,
     extract_inputs,
     train_bpe,
 )

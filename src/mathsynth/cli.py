@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TrainingDiverged, FileNotFoundError, ValueError, KeyError) as exc:
+    except (TrainingDiverged, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except Exception as exc:  # pragma: no cover - defensive

@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import ComputeGraph, StructuralError
 from .operators import Registry, default_registry
-from .parsing import BpeCodec, Observation, Problem, encode_observation
+from .parsing import BpeCodec, Observation, Problem
 from .values import ABSENT, EXPRESSION, TypedValue, free_symbols, is_subtype, render
 
 
@@ -42,6 +42,12 @@ class EnvConfig:
         for key in ("n_inputs", "max_nodes", "max_question_tokens"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive")
+        # raw observations have no tokens to bound
+        if (
+            not self.encoded_observations
+            and self.max_question_tokens != EnvConfig.max_question_tokens
+        ):
+            raise ConfigError("max_question_tokens applies only to encoded observations")
 
     @classmethod
     def from_mapping(cls, mapping: dict):
@@ -106,9 +112,9 @@ def action_mask(registry: Registry, inputs, n_inputs: int, graph: ComputeGraph) 
 class EpisodeState:
     problem: Problem
     graph: ComputeGraph
+    question: object  # raw text, or its token indices as a tuple; encoded once at reset
     history: list = field(default_factory=list)
     done: bool = False
-    first: Observation | None = None  # at reset: the question is encoded once per episode
 
 
 def is_multivariate_differentiate(problem: Problem) -> bool:
@@ -121,7 +127,10 @@ def is_multivariate_differentiate(problem: Problem) -> bool:
 
 
 class Environment:
-    """One single-threaded episode at a time; instances share nothing."""
+    """One single-threaded episode at a time; instances share nothing.
+
+    A BPE codec is given exactly when config.encoded_observations is set;
+    reset encodes the question once into the episode state."""
 
     def __init__(
         self,
@@ -132,15 +141,14 @@ class Environment:
         self.registry = registry if registry is not None else default_registry()
         self.config = config if config is not None else EnvConfig()
         self.codec = codec
-        if self.config.encoded_observations:
-            if codec is None:
-                raise ValueError("encoded observations require a BPE codec")
-            if codec.max_len > self.config.max_question_tokens:
-                raise ValueError(
-                    f"codec max_len {codec.max_len} exceeds max_question_tokens "
-                    f"{self.config.max_question_tokens}"
-                )
-        self._state: EpisodeState | None = None
+        if (codec is not None) != self.config.encoded_observations:
+            raise ValueError("a BPE codec is given exactly when observations are encoded")
+        if codec is not None and codec.max_len > self.config.max_question_tokens:
+            raise ValueError(
+                f"codec max_len {codec.max_len} exceeds max_question_tokens "
+                f"{self.config.max_question_tokens}"
+            )
+        self.state: EpisodeState | None = None
 
     @property
     def n_ops(self) -> int:
@@ -150,13 +158,9 @@ class Environment:
     def n_actions(self) -> int:
         return self.registry.n_ops + self.config.n_inputs
 
-    @property
-    def state(self) -> EpisodeState | None:
-        return self._state
-
     def _observation(self) -> Observation:
-        first = self._state.first
-        return Observation(first.question, tuple(self._state.history), first.encoded)
+        st = self.state
+        return Observation(st.question, tuple(st.history), self.config.encoded_observations)
 
     def check(self, problem: Problem):
         """Raise ProblemRejected if this configuration cannot load the problem."""
@@ -170,15 +174,15 @@ class Environment:
 
     def reset(self, problem: Problem) -> Observation:
         self.check(problem)
-        codec = self.codec if self.config.encoded_observations else None
-        first = encode_observation(codec, problem.question, ())
-        graph = ComputeGraph()
-        self._state = EpisodeState(problem, graph, first=first)
-        return first
+        question = problem.question
+        if self.codec is not None:
+            question = tuple(self.codec.encode(question))
+        self.state = EpisodeState(problem, ComputeGraph(), question)
+        return self._observation()
 
     def step(self, action: int):
         """Returns (observation, reward, done, info)."""
-        st = self._state
+        st = self.state
         if st is None:
             raise RuntimeError("call reset() before step()")
         if st.done:
@@ -224,7 +228,7 @@ class Environment:
     def compute_mask(self) -> np.ndarray:
         """Boolean validity vector over the action space for the next
         action; masked actions may still be taken."""
-        st = self._state
+        st = self.state
         if st is None or st.done:
             raise RuntimeError("mask is only defined for an active episode")
         return action_mask(self.registry, st.problem.inputs, self.config.n_inputs, st.graph)

@@ -263,16 +263,3 @@ class Observation:
     question: object  # tuple of token indices (encoded) or raw text
     history: tuple
     encoded: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "history", tuple(self.history))
-        if self.encoded:
-            object.__setattr__(self, "question", tuple(self.question))
-
-
-def encode_observation(codec: BpeCodec | None, question: str, history) -> Observation:
-    """Fixed-length encoded representation when a codec is given, raw text
-    otherwise; either way the action history is appended unchanged."""
-    if codec is None:
-        return Observation(question=question, history=tuple(history), encoded=False)
-    return Observation(question=codec.encode(question), history=tuple(history), encoded=True)

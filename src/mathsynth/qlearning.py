@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import zipfile
 import zlib
 from dataclasses import asdict, dataclass, replace
 
@@ -112,6 +113,8 @@ def save_checkpoint(path, result: TrainResult):
 def load_checkpoint(path, registry: Registry | None = None):
     """Returns (QFunction, TrainConfig, env_steps); verifies the registry
     manifest when a registry is given."""
+    if not zipfile.is_zipfile(path):  # also False for a missing or unreadable path
+        raise ValueError(f"{path}: not a readable .npz checkpoint")
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         weights = data["weights"]
@@ -157,14 +160,9 @@ class TrainConfig(EnvConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        # train() has no BPE codec, so neither codec key could take effect
+        # train() has no BPE codec, so its observations are raw text
         if self.encoded_observations:
             raise ConfigError("encoded_observations needs a BPE codec; training has none")
-        if self.max_question_tokens != EnvConfig.max_question_tokens:
-            raise ConfigError(
-                "max_question_tokens applies only to encoded observations, "
-                "which training does not use"
-            )
         if not self.modules:
             raise ConfigError("at least one module is required")
         for module in self.modules:

@@ -136,7 +136,10 @@ def exhaustive_solve(
     Complete graphs are evaluated through one memo for the whole call, so
     an operator runs once per distinct tuple of argument values however
     many graphs share it; n_evaluated is the number of such runs.
+
+    Raises ProblemRejected if the environment cannot load the problem.
     """
+    env.check(problem)
     registry = env.registry
     n_inputs = env.config.n_inputs
     n_ops = registry.n_ops

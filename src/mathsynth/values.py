@@ -118,8 +118,6 @@ class Call:
     args: tuple
 
 
-Expr = (Num, Sym, Add, Mul, Pow, Call)
-
 
 def degree(e) -> int:
     """Syntactic degree used for canonical term ordering (calls count as 1)."""

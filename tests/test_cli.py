@@ -332,6 +332,36 @@ def _train_eval_resume(tmp_path, capsys, env_line):
     assert all(m["step"] >= 300 for m in resumed)
 
 
+def _truncated_checkpoint(tmp_path):
+    path = tmp_path / "ckpt.npz"
+    np.savez_compressed(path, weights=np.zeros((18, 64)), meta="{}")
+    path.write_bytes(path.read_bytes()[:100])
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["train", "--config", str(tmp), "--out", str(tmp / "run")],
+        lambda tmp: ["generate", "--module", "numbers__gcd", "--out", str(tmp / "file.txt")],
+        lambda tmp: ["mine", "--log", str(tmp)],
+        lambda tmp: ["eval", "--checkpoint", str(_truncated_checkpoint(tmp))],
+    ],
+    ids=[
+        "train-config-directory",
+        "generate-out-file",
+        "mine-log-directory",
+        "eval-truncated-checkpoint",
+    ],
+)
+def test_file_errors_are_data_errors(tmp_path, capsys, argv):
+    (tmp_path / "file.txt").write_text("not a directory\n")
+    code, stdout, err = run(capsys, *argv(tmp_path))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert "Traceback" not in err and "internal error" not in err
+
+
 def test_eval_rejects_checkpoint_without_config(tmp_path, capsys):
     path = tmp_path / "old.npz"
     # the meta layout of a checkpoint that does not record its training config

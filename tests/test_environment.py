@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mathsynth.environment import (
+    ConfigError,
     EnvConfig,
     Environment,
     ProblemRejected,
@@ -14,7 +15,7 @@ from mathsynth.environment import (
 from mathsynth.graph import ComputeGraph
 from mathsynth.mining import mine, register
 from mathsynth.operators import default_registry, full_registry
-from mathsynth.parsing import Problem, extract_inputs, train_bpe
+from mathsynth.parsing import Observation, Problem, extract_inputs, train_bpe
 from mathsynth.problems import SUPPORTED_MODULES, differentiate_wrt_problems, generate
 from mathsynth.search import random_action
 from mathsynth.values import (
@@ -271,6 +272,43 @@ def test_codec_longer_than_max_question_tokens_is_rejected():
         Environment(config=EnvConfig(encoded_observations=True, max_question_tokens=79), codec=codec)
     env = Environment(config=EnvConfig(encoded_observations=True, max_question_tokens=80), codec=codec)
     assert len(env.reset(p).question) == 80
+
+
+def test_raw_observation_is_the_question_text():
+    obs = Environment().reset(Problem("What is 1?", "1", (value(1),)))
+    assert obs.question == "What is 1?" and obs.history == () and not obs.encoded
+
+
+def test_observation_history_is_the_action_suffix():
+    env = Environment()
+    env.reset(Problem("q", "", ()))
+    env.step(5)
+    obs, _, done, _ = env.step(14)
+    assert not done and obs.history == (5, 14)
+
+
+def test_encoded_observation_is_the_padded_token_tuple():
+    codec = train_bpe(["abc def"], vocab_size=8, max_len=10)
+    env = Environment(config=EnvConfig(encoded_observations=True), codec=codec)
+    env.reset(Problem("abc def", "", ()))
+    obs, _, done, _ = env.step(1)
+    assert obs.encoded and len(obs.question) == 10 and obs.history == (1,)
+    assert obs == Observation(tuple(codec.encode("abc def")), (1,), True)
+    assert not done
+
+
+def test_codec_without_encoded_observations_is_rejected():
+    codec = train_bpe(["abc def"], vocab_size=8, max_len=10)
+    with pytest.raises(ValueError, match="codec"):
+        Environment(codec=codec)
+    with pytest.raises(ValueError, match="codec"):
+        Environment(config=EnvConfig(encoded_observations=True))
+
+
+def test_max_question_tokens_without_encoded_observations_is_rejected():
+    with pytest.raises(ConfigError, match="max_question_tokens"):
+        EnvConfig(max_question_tokens=5)
+    assert EnvConfig(encoded_observations=True, max_question_tokens=5).max_question_tokens == 5
 
 
 def test_determinism_of_episode():

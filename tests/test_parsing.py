@@ -6,8 +6,6 @@ from mathsynth.parsing import (
     BpeCodec,
     BpeError,
     ExtractionError,
-    Observation,
-    encode_observation,
     extract_inputs,
     train_bpe,
 )
@@ -159,27 +157,6 @@ def test_codec_serialization_reproduces_encodings(tmp_path):
         assert (loaded.pad_index, loaded.max_len) == (codec.pad_index, codec.max_len)
         for q in corpus:
             assert loaded.encode(q) == codec.encode(q)
-
-
-# ---------------------------------------------------------------------------
-# observations
-
-
-def test_observation_raw_mode():
-    obs = encode_observation(None, "What is 1?", [])
-    assert obs.question == "What is 1?" and obs.history == () and not obs.encoded
-
-
-def test_observation_history_suffix():
-    obs = encode_observation(None, "q", [5, 14])
-    assert obs.history == (5, 14)
-
-
-def test_observation_encoded_mode():
-    codec = train_bpe(["abc def"], vocab_size=8, max_len=10)
-    obs = encode_observation(codec, "abc def", [1])
-    assert obs.encoded and len(obs.question) == 10 and obs.history == (1,)
-    assert obs == Observation(codec.encode("abc def"), (1,), True)
 
 
 BPE_DIGEST = "13e1307ac8b427f40a1d96b369d0cfc0c0467281b2b967ee5abfd66d3d9182c9"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mathsynth.environment import EnvConfig, Environment, action_mask
+from mathsynth.environment import EnvConfig, Environment, ProblemRejected, action_mask
 from mathsynth.graph import ComputeGraph
 from mathsynth.operators import OperatorSpec, full_registry
 from mathsynth.parsing import Problem, extract_inputs
@@ -15,6 +15,13 @@ from mathsynth.values import render
 def derivative_problem() -> Problem:
     q = "What is the first derivative of 6*k**2 - 101*k + 2548?"
     return Problem(q, "12*k - 101", tuple(extract_inputs(q)), "calculus__differentiate")
+
+
+def test_exhaustive_solve_rejects_a_problem_its_environment_rejects():
+    env = Environment(config=EnvConfig(n_inputs=1))
+    problem = generate("numbers__gcd", 1, 0)[0].problem  # two inputs
+    with pytest.raises(ProblemRejected):
+        exhaustive_solve(env, problem, max_nodes=3)
 
 
 def test_rollout_is_seed_deterministic():
