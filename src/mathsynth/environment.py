@@ -181,7 +181,10 @@ class Environment:
         return self._observation()
 
     def step(self, action: int):
-        """Returns (observation, reward, done, info)."""
+        """Returns (observation, reward, done, info).  info["mask"] is the
+        next action's validity vector, None once done; the final step adds
+        info["output"] and info["graph"], the graph text with '?' for each
+        slot left open."""
         st = self.state
         if st is None:
             raise RuntimeError("call reset() before step()")
@@ -197,33 +200,19 @@ class Environment:
             i = action - self.n_ops
             node = st.problem.inputs[i] if i < len(st.problem.inputs) else ABSENT
 
-        reward = 0
-        output = None
         st.history.append(action)
         try:
             st.graph.add_node(node)
-        except StructuralError:
-            # input placed as root: invalid graph, episode over with None
+        except StructuralError:  # an input as root: the graph stays empty
             st.done = True
-            output = ABSENT
-        if not st.done:
-            if st.graph.is_complete:
-                st.done = True
-                output = st.graph.evaluate()
-                if earns_reward(output, st.problem):
-                    reward = 1
-            elif len(st.graph) >= self.config.max_nodes:
-                st.done = True
-                output = ABSENT  # incomplete at the node limit
-
-        info = {
-            "question": st.problem.question,
-            "graph": st.graph.partial_text(),
-            "mask": None if st.done else self.compute_mask(),
-        }
-        if st.done:
-            info["output"] = render(output)
-        return self._observation(), reward, st.done, info
+        if not (st.done or st.graph.is_complete or len(st.graph) >= self.config.max_nodes):
+            return self._observation(), 0, False, {"mask": self.compute_mask()}
+        st.done = True
+        # a graph cut short, by an input at the root or the node limit, outputs None
+        output = st.graph.evaluate()
+        reward = int(st.graph.is_complete and earns_reward(output, st.problem))
+        info = {"mask": None, "output": render(output), "graph": st.graph.partial_text()}
+        return self._observation(), reward, True, info
 
     def compute_mask(self) -> np.ndarray:
         """Boolean validity vector over the action space for the next

@@ -140,13 +140,10 @@ class ComputeGraph:
         node = self.nodes[idx]
         if not isinstance(node, OperatorSpec):
             return f"{node.kind}('{render(node)}')"
-        # the slot range inline rather than children(): this runs on every
-        # environment step
-        n = len(self.nodes)
-        start = self.first_slot[idx] + 1
-        parts = []
-        for c in range(start, start + node.arity):
-            parts.append(self._node_text(c, placeholder) if c < n else placeholder)
+        parts = [
+            self._node_text(c, placeholder) if c < len(self.nodes) else placeholder
+            for c in self.children(idx)
+        ]
         return f"{node.name}({','.join(parts)})"
 
 

@@ -561,6 +561,8 @@ class Registry:
 
 def make_registry(names=DEFAULT_OPERATOR_NAMES) -> Registry:
     catalog = {s.name: s for s in _CATALOG}
+    if unknown := [n for n in names if n not in catalog]:
+        raise ValueError(f"unknown operator: {unknown[0]!r}")
     return Registry(catalog[n] for n in names)
 
 

@@ -116,12 +116,14 @@ def load_checkpoint(path, registry: Registry | None = None):
     if not zipfile.is_zipfile(path):  # also False for a missing or unreadable path
         raise ValueError(f"{path}: not a readable .npz checkpoint")
     with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        weights = data["weights"]
-    if "config" not in meta:
-        raise ValueError(f"{path}: checkpoint records no training config")
+        try:
+            meta, weights = json.loads(str(data["meta"])), data["weights"]
+        except (KeyError, ValueError) as exc:  # a missing member, or meta that is not JSON
+            raise ValueError(f"{path}: unreadable checkpoint: {exc.args[0]}") from None
+    if not isinstance(meta, dict) or not {"config", "manifest", "env_steps"} <= meta.keys():
+        raise ValueError(f"{path}: checkpoint meta needs config, manifest and env_steps")
     if registry is not None and meta["manifest"] != registry.manifest():
-        raise ValueError("checkpoint was trained against a different action-space layout")
+        raise ValueError(f"{path}: checkpoint was trained against a different action-space layout")
     config = TrainConfig.from_mapping(meta["config"])
     n_actions, feature_dim = weights.shape
     q = QFunction(n_actions, feature_dim, config.feature_seed)

@@ -113,9 +113,12 @@ class SearchResult:
 
 
 def exhaustive_solve(
-    env: Environment, problem: Problem, max_nodes: int = 4, count_all: bool = False
+    env: Environment, problem: Problem, max_nodes: int | None = None, count_all: bool = False
 ) -> SearchResult:
     """Depth-bounded enumeration of masked action sequences.
+
+    max_nodes defaults to the environment's node limit; a larger value
+    raises ValueError, as the environment would cut a longer graph short.
 
     The result's actions are the first rewarded sequence in
     iterative-deepening lexicographic order, or None.  With count_all, the
@@ -140,6 +143,9 @@ def exhaustive_solve(
     Raises ProblemRejected if the environment cannot load the problem.
     """
     env.check(problem)
+    max_nodes = env.config.max_nodes if max_nodes is None else max_nodes
+    if max_nodes > env.config.max_nodes:
+        raise ValueError(f"max_nodes {max_nodes} exceeds the node limit {env.config.max_nodes}")
     registry = env.registry
     n_inputs = env.config.n_inputs
     n_ops = registry.n_ops

@@ -69,7 +69,7 @@ class MathParseError(ValueError):
         self.position = position
 
 
-class TypingError(TypeError):
+class TypingError(ValueError):
     """Raised when a parsed value does not satisfy the expected type tag."""
 
 

@@ -362,6 +362,44 @@ def test_file_errors_are_data_errors(tmp_path, capsys, argv):
     assert "Traceback" not in err and "internal error" not in err
 
 
+GOOD_META = {"config": {}, "env_steps": 0, "manifest": default_registry().manifest()}
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        {"weights": np.zeros((18, 64))},
+        {"meta": json.dumps(GOOD_META)},
+        {"weights": np.zeros((18, 64)), "meta": "{not json"},
+        {"weights": np.zeros((18, 64)), "meta": "[1, 2]"},
+        {"weights": np.zeros((18, 64)), "meta": json.dumps({**GOOD_META, "manifest": "other"})},
+        {"weights": np.zeros((18, 64)),
+         "meta": json.dumps({k: v for k, v in GOOD_META.items() if k != "manifest"})},
+        {"weights": np.zeros((18, 64)),
+         "meta": json.dumps({k: v for k, v in GOOD_META.items() if k != "env_steps"})},
+    ],
+    ids=["no-meta", "no-weights", "meta-not-json", "meta-not-object", "other-manifest",
+         "no-manifest", "no-env-steps"],
+)
+def test_eval_rejects_incomplete_checkpoints_naming_the_file(tmp_path, capsys, members):
+    path = tmp_path / "broken.npz"
+    np.savez_compressed(path, **members)
+    code, stdout, err = run(capsys, "eval", "--checkpoint", str(path), "--module", "numbers__gcd")
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["episode", "mine"])
+def test_unknown_registry_operator_is_a_data_error(tmp_path, capsys, command):
+    log = tmp_path / "empty.jsonl"
+    log.write_text("")
+    source = ["--question", "What is 1?"] if command == "episode" else ["--log", str(log)]
+    code, stdout, err = run(capsys, command, *source, "--registry", "is_prime,nosuch")
+    assert (code, stdout) == (1, "")
+    assert err == "error: unknown operator: 'nosuch'\n"
+
+
 def test_eval_rejects_checkpoint_without_config(tmp_path, capsys):
     path = tmp_path / "old.npz"
     # the meta layout of a checkpoint that does not record its training config
@@ -458,8 +496,9 @@ def test_mine_empty_log(tmp_path, capsys):
         "[1, 2]",
         '{"reward": 1, "graph": 5}',
         json.dumps({"reward": 1, "graph": "not_op(" * 3000 + "Boolean('True')" + ")" * 3000}),
+        '{"reward": 1, "graph": "differentiate(Boolean(\'x\'))"}',
     ],
-    ids=["list", "number-graph", "deep-graph"],
+    ids=["list", "number-graph", "deep-graph", "mistyped-leaf"],
 )
 def test_mine_rejects_malformed_log_lines(tmp_path, capsys, line):
     log = tmp_path / "episodes.jsonl"

@@ -221,14 +221,22 @@ def test_reset_gives_independent_episodes():
     assert len(env.state.graph) == 0
 
 
-def test_info_exposes_raw_question_and_graph():
+def test_step_info_holds_only_step_facts():
+    # the question stays with the episode state; the graph text and the
+    # output come once, with the final step
     env = Environment()
     p = derivative_problem()
     env.reset(p)
-    _, _, _, info = env.step(5)
-    assert info["question"] == p.question
-    assert info["graph"] == "differentiate(?)"
-    assert isinstance(info["mask"], np.ndarray)
+    _, _, done, info = env.step(5)
+    assert not done and list(info) == ["mask"]
+    assert isinstance(info["mask"], np.ndarray) and info["mask"].shape == (env.n_actions,)
+    assert env.state.problem is p and env.state.graph.partial_text() == "differentiate(?)"
+    _, _, done, info = env.step(15)
+    assert done and info == {
+        "mask": None,
+        "output": "12*k - 101",
+        "graph": "differentiate(Expression('6*k**2 - 101*k + 2548'))",
+    }
 
 
 def test_encoded_observations():
@@ -238,8 +246,8 @@ def test_encoded_observations():
     obs = env.reset(p)
     assert obs.encoded and len(obs.question) == 80
     obs, _, _, info = env.step(5)
-    assert obs.history == (5,)
-    assert info["question"] == p.question  # raw text available regardless
+    assert obs.history == (5,) and list(info) == ["mask"]
+    assert env.state.problem.question == p.question  # raw text available regardless
 
 
 def test_earns_reward_compares_the_rendered_output_with_the_answer():
@@ -321,7 +329,7 @@ def test_determinism_of_episode():
         out = []
         for a in seq:
             obs, r, done, info = env.step(a)
-            out.append((obs, r, done, info["graph"], info.get("output")))
+            out.append((obs, r, done, info.get("graph"), info.get("output")))
             if done:
                 break
         return out
@@ -335,7 +343,8 @@ EPISODE_DIGEST = "5415f482ce94da13ded22532d834cfa13bf059f8197d1e4d167b4b1f7c976c
 def pinned_episodes(env):
     """The 660 pinned episodes: for each of 20 problems per module (seed 29),
     a truth-graph replay and seeded masked and unmasked rollouts.  Yields the
-    reset observation and the list of step results of each episode."""
+    reset observation, the list of step results and the graph text after
+    each step of each episode."""
     rng = random.Random(17)
     for module in SUPPORTED_MODULES:
         for gp in generate(module, 20, 29):
@@ -347,12 +356,13 @@ def pinned_episodes(env):
             ]
             for policy in policies:
                 first = env.reset(gp.problem)
-                mask, done, steps = env.compute_mask(), False, []
+                mask, done, steps, texts = env.compute_mask(), False, [], []
                 while not done:
                     steps.append(env.step(policy(mask)))
+                    texts.append(env.state.graph.partial_text())
                     _, _, done, info = steps[-1]
                     mask = info["mask"]
-                yield first, steps
+                yield first, steps, texts
 
 
 def test_episode_texts_outputs_and_rewards_are_pinned():
@@ -361,9 +371,12 @@ def test_episode_texts_outputs_and_rewards_are_pinned():
     # guards refactors of the graph
     digest = hashlib.sha256()
     episodes = rewarded = 0
-    for _, steps in pinned_episodes(Environment()):
-        for _, reward, _, info in steps:
-            digest.update(f"{info['graph']}\n".encode())
+    for _, steps, texts in pinned_episodes(Environment()):
+        for text in texts:
+            digest.update(f"{text}\n".encode())
+        assert all(list(step[3]) == ["mask"] for step in steps[:-1])
+        _, reward, _, info = steps[-1]
+        assert info["graph"] == texts[-1]
         digest.update(f"{info['output']}|{reward}\n".encode())
         episodes += 1
         rewarded += reward
@@ -390,7 +403,7 @@ def test_observations_are_pinned(encoded):
     env = Environment(config=EnvConfig(encoded_observations=encoded), codec=codec)
     digest = hashlib.sha256()
     n_observations = 0
-    for first, steps in pinned_episodes(env):
+    for first, steps, _ in pinned_episodes(env):
         for obs in [first] + [step[0] for step in steps]:
             digest.update(repr((obs.question, obs.history, obs.encoded)).encode() + b"\n")
             n_observations += 1

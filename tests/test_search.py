@@ -8,7 +8,7 @@ from mathsynth.graph import ComputeGraph
 from mathsynth.operators import OperatorSpec, full_registry
 from mathsynth.parsing import Problem, extract_inputs
 from mathsynth.problems import SUPPORTED_MODULES, differentiate_wrt_problems, generate
-from mathsynth.search import exhaustive_solve, random_rollout
+from mathsynth.search import exhaustive_solve, random_rollout, run_episode
 from mathsynth.values import render
 
 
@@ -22,6 +22,53 @@ def test_exhaustive_solve_rejects_a_problem_its_environment_rejects():
     problem = generate("numbers__gcd", 1, 0)[0].problem  # two inputs
     with pytest.raises(ProblemRejected):
         exhaustive_solve(env, problem, max_nodes=3)
+
+
+def test_exhaustive_solve_searches_no_deeper_than_its_environment():
+    problem = generate("algebra__linear_1d", 1, 0)[0].problem
+    # the 5-node solution that a depth-7 search finds is cut short, and
+    # scored 0, by an environment that allows 3 nodes
+    solution = exhaustive_solve(Environment(), problem, max_nodes=7).actions
+    assert solution == (0, 1, 16, 3, 15)
+    small = Environment(config=EnvConfig(max_nodes=3))
+    assert small.replay(problem, solution) == (0, {
+        "mask": None,
+        "output": "None",
+        "graph": "lookup_value(solve_system(?),Variable('t'))",
+    })
+    with pytest.raises(ValueError, match="node limit 3"):
+        exhaustive_solve(small, problem, max_nodes=7)
+    assert exhaustive_solve(small, problem).actions is None
+
+
+def test_exhaustive_solve_depth_defaults_to_the_node_limit():
+    env = Environment(config=EnvConfig(max_nodes=5))
+    problem = generate("numbers__gcd", 1, 7)[0].problem
+
+    def counts(**kwargs):
+        res = exhaustive_solve(env, problem, count_all=True, **kwargs)
+        return res.n_complete, res.n_expanded, res.n_pruned
+
+    assert counts() == counts(max_nodes=5) != counts(max_nodes=4)
+    assert exhaustive_solve(env, problem).actions == exhaustive_solve(env, problem, max_nodes=5).actions
+
+
+def test_graph_text_is_built_once_per_episode(monkeypatch):
+    calls = []
+    partial_text = ComputeGraph.partial_text
+    monkeypatch.setattr(
+        ComputeGraph, "partial_text", lambda self: calls.append(len(self)) or partial_text(self)
+    )
+    env = Environment()
+    rng = random.Random(4)
+    for module in SUPPORTED_MODULES:
+        for gp in generate(module, 2, 9):
+            truth = iter(gp.truth_graph)
+            record = run_episode(env, gp.problem, lambda obs, mask: next(truth))
+            assert record.reward == 1 and record.graph_text
+            random_rollout(env, gp.problem, rng)
+            random_rollout(env, gp.problem, rng, respect_mask=False)
+    assert len(calls) == 3 * 2 * len(SUPPORTED_MODULES)
 
 
 def test_rollout_is_seed_deterministic():
@@ -236,4 +283,6 @@ def test_search_results_are_pinned():
         for count_all in (False, True):
             res = exhaustive_solve(env, problem, max_nodes=6, count_all=count_all)
             digest.update(repr((res.actions, res.n_complete, res.n_expanded, res.n_pruned)).encode())
+            if res.actions is not None:
+                assert env.replay(problem, res.actions)[0] == 1
     assert digest.hexdigest() == SEARCH_DIGEST
