@@ -2,9 +2,16 @@
 value function on hashed sparse features of (question text, action history).
 
 The Double-DQN decoupling: the bootstrap action is chosen by the online
-function and evaluated by a frozen target copy.  After every batch the
-priorities of the batch and of an extra random sample of stored steps are
-recomputed against the current parameters.
+function and evaluated by a frozen target copy.  The updates within a batch
+run one step after another.  After every batch the priorities of the batch
+and of an extra random sample of stored steps are recomputed against the
+current parameters in one pass (td_errors): the weights are fixed there, so
+each distinct step is scored once and steps with equal feature counts are
+scored together, bit for bit as td_target would score them one at a time.
+
+The hashed features of a question stay the same for a whole episode, so
+each QFunction keeps those of its most recent questions in a small bounded
+cache and hashes only the history part on every call.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import random
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -39,6 +47,27 @@ class EpsilonSchedule:
         return max(self.end, self.start - step * self.decrement_per_step)
 
 
+QUESTION_CACHE_SIZE = 256  # questions whose hashed features a QFunction keeps
+
+
+def _question_features(prefix: bytes, feature_dim: int, question, encoded: bool) -> np.ndarray:
+    """Hashed indices of the bias and of the question's tokens, or of its
+    words, bigrams and character trigrams."""
+    feats = ["bias"]
+    if encoded:
+        feats.extend(f"tok:{t}" for t in question)
+    else:
+        words = question.split()
+        feats.extend(f"w:{w}" for w in words)
+        feats.extend(f"b:{a} {b}" for a, b in zip(words, words[1:]))
+        feats.extend(f"g:{question[i:i + 3]}" for i in range(len(question) - 2))
+    return np.fromiter(
+        (zlib.crc32(prefix + f.encode()) % feature_dim for f in feats),
+        dtype=np.int64,
+        count=len(feats),
+    )
+
+
 class QFunction:
     """Linear action-value function over hashed sparse features."""
 
@@ -48,25 +77,26 @@ class QFunction:
         self.feature_seed = feature_seed
         self.weights = np.zeros((n_actions, feature_dim))
         self._prefix = f"{feature_seed}|".encode()
+        # (question, encoded) -> hashed question part; the cached function
+        # holds no reference to self, so dropping a QFunction frees its
+        # weights at once rather than at the next garbage collection
+        self._question_features = lru_cache(maxsize=QUESTION_CACHE_SIZE)(
+            partial(_question_features, self._prefix, feature_dim)
+        )
 
     def _hash(self, feat: str) -> int:
         return zlib.crc32(self._prefix + feat.encode()) % self.feature_dim
 
     def features(self, obs: Observation) -> np.ndarray:
-        feats = ["bias", f"len:{len(obs.history)}"]
-        if obs.encoded:
-            feats.extend(f"tok:{t}" for t in obs.question)
-        else:
-            text = obs.question
-            words = text.split()
-            feats.extend(f"w:{w}" for w in words)
-            feats.extend(f"b:{a} {b}" for a, b in zip(words, words[1:]))
-            feats.extend(f"g:{text[i:i + 3]}" for i in range(len(text) - 2))
-        for t, a in enumerate(obs.history):
-            feats.append(f"h{t}:{a}")
+        """Hashed indices of the bias, the history length, the question and
+        the action history, in that order."""
+        question = self._question_features(obs.question, obs.encoded)
+        history = [f"len:{len(obs.history)}"]
+        history.extend(f"h{t}:{a}" for t, a in enumerate(obs.history))
         if obs.history:
-            feats.append(f"last:{obs.history[-1]}")
-        return np.fromiter((self._hash(f) for f in feats), dtype=np.int64, count=len(feats))
+            history.append(f"last:{obs.history[-1]}")
+        hashed = np.fromiter((self._hash(f) for f in history), dtype=np.int64, count=len(history))
+        return np.concatenate((question[:1], hashed[:1], question[1:], hashed[1:]))
 
     def q_values(self, feats: np.ndarray) -> np.ndarray:
         return self.weights[:, feats].sum(axis=1)
@@ -96,6 +126,49 @@ def td_target(step: Step, gamma: float, online: QFunction, target: QFunction) ->
     return float(step.reward) + gamma * target.q_value(step.next_observation, best)
 
 
+_BLOCK = 32  # steps per gathered block, which holds n_actions x 32 x L floats
+
+
+def _blocks(feature_arrays):
+    """Yields (positions, stacked arrays) for up to _BLOCK feature arrays of
+    one length at a time, so that every position comes once."""
+    by_length: dict = {}
+    for k, feats in enumerate(feature_arrays):
+        by_length.setdefault(len(feats), []).append(k)
+    for positions in by_length.values():
+        for i in range(0, len(positions), _BLOCK):
+            part = positions[i : i + _BLOCK]
+            yield part, np.stack([feature_arrays[k] for k in part])
+
+
+def td_errors(steps, gamma: float, online: QFunction, target: QFunction) -> np.ndarray:
+    """|td_target(step) - online.q_value(step.observation, step.action)| for
+    every step, with the weights fixed.
+
+    Steps with equal feature counts are scored together.  Each block gathers
+    its weight rows once, with one step's L features along the last,
+    contiguous axis; summing over that axis adds each step's weights in the
+    same pairwise order as weights[a, feats].sum().  So every argmax and
+    every error equals the one-step-at-a-time value bit for bit."""
+    values = np.empty(len(steps))
+    for ks, feats in _blocks([s.observation for s in steps]):
+        actions = np.array([steps[k].action for k in ks])
+        values[ks] = online.weights[actions[:, None], feats].sum(axis=1)
+    targets = np.array([float(s.reward) for s in steps])
+    ongoing = [k for k, s in enumerate(steps) if not s.done]
+    all_actions = np.ones(online.n_actions, dtype=bool)
+    for part, feats in _blocks([steps[k].next_observation for k in ongoing]):
+        ks = [ongoing[j] for j in part]
+        q = online.weights[:, feats].sum(axis=2).T  # (steps, actions)
+        masks = np.array(
+            [all_actions if steps[k].next_mask is None else steps[k].next_mask for k in ks],
+            dtype=bool,
+        )
+        best = np.argmax(np.where(masks, q, -np.inf), axis=1)
+        targets[ks] += gamma * target.weights[best[:, None], feats].sum(axis=1)
+    return np.abs(targets - values)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -122,11 +195,17 @@ def load_checkpoint(path, registry: Registry | None = None):
             raise ValueError(f"{path}: unreadable checkpoint: {exc.args[0]}") from None
     if not isinstance(meta, dict) or not {"config", "manifest", "env_steps"} <= meta.keys():
         raise ValueError(f"{path}: checkpoint meta needs config, manifest and env_steps")
+    if not isinstance(meta["manifest"], str):
+        raise ValueError(f"{path}: checkpoint manifest is not text")
     if registry is not None and meta["manifest"] != registry.manifest():
         raise ValueError(f"{path}: checkpoint was trained against a different action-space layout")
     config = TrainConfig.from_mapping(meta["config"])
-    n_actions, feature_dim = weights.shape
-    q = QFunction(n_actions, feature_dim, config.feature_seed)
+    # one row per action (each manifest line is an operator), one column
+    # per hashed feature
+    shape = (len(meta["manifest"].splitlines()) + config.n_inputs, config.feature_dim)
+    if weights.shape != shape:
+        raise ValueError(f"{path}: checkpoint weights have shape {weights.shape}, expected {shape}")
+    q = QFunction(*shape, config.feature_seed)
     q.weights = weights
     return q, config, meta["env_steps"]
 
@@ -231,14 +310,13 @@ def _batch_update(q, target, buffer, cfg, nrng, update_count):
     loss = float(np.mean(deltas**2))
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss at update {update_count}")
-    # recompute priorities for the batch and an extra random sample
+    # recompute priorities for the batch and an extra random sample; a step
+    # drawn more than once is scored once (dict.fromkeys, not np.unique,
+    # whose first call imports numpy.ma: 1.6 MB more peak memory)
     extra = buffer.random_indices(cfg.batch_size, nrng)
-    all_idx = np.concatenate([idx, extra])
-    new_prios = []
-    for step in buffer.steps_at(all_idx):
-        tgt = td_target(step, cfg.gamma, q, target)
-        new_prios.append(abs(tgt - q.q_value(step.observation, step.action)) + cfg.priority_floor)
-    buffer.update_priorities(all_idx, new_prios)
+    all_idx = list(dict.fromkeys([*idx.tolist(), *extra.tolist()]))
+    errors = td_errors(buffer.steps_at(all_idx), cfg.gamma, q, target)
+    buffer.update_priorities(all_idx, errors + cfg.priority_floor)
     return loss
 
 

@@ -88,8 +88,9 @@ class ReplayBuffer:
         return [self._steps[i] for i in indices]
 
     def update_priorities(self, indices, priorities):
-        for i, p in zip(indices, priorities):
-            p = float(p)
-            if p <= 0:
-                raise ValueError("priorities must be positive")
-            self._prios[i] = p
+        """Set the priority at each index, in one assignment; nothing is
+        stored unless every priority is positive."""
+        priorities = np.asarray(priorities, dtype=float)
+        if not np.all(priorities > 0):
+            raise ValueError("priorities must be positive")
+        self._prios[np.asarray(indices, dtype=np.intp)] = priorities

@@ -377,9 +377,15 @@ GOOD_META = {"config": {}, "env_steps": 0, "manifest": default_registry().manife
          "meta": json.dumps({k: v for k, v in GOOD_META.items() if k != "manifest"})},
         {"weights": np.zeros((18, 64)),
          "meta": json.dumps({k: v for k, v in GOOD_META.items() if k != "env_steps"})},
+        # GOOD_META's config keeps the default feature_dim, so the width
+        # that fits it is 1 << 15
+        {"weights": np.zeros(18), "meta": json.dumps(GOOD_META)},
+        {"weights": np.zeros((10, 1 << 15)), "meta": json.dumps(GOOD_META)},
+        {"weights": np.zeros((18, 64)), "meta": json.dumps(GOOD_META)},
     ],
     ids=["no-meta", "no-weights", "meta-not-json", "meta-not-object", "other-manifest",
-         "no-manifest", "no-env-steps"],
+         "no-manifest", "no-env-steps", "weights-1d", "weights-too-few-rows",
+         "weights-other-width"],
 )
 def test_eval_rejects_incomplete_checkpoints_naming_the_file(tmp_path, capsys, members):
     path = tmp_path / "broken.npz"

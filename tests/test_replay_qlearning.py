@@ -1,15 +1,20 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import random
+import weakref
+import zlib
 from collections import deque
 
 import numpy as np
 import pytest
 
-from mathsynth.environment import Environment, ProblemRejected
-from mathsynth.parsing import Observation
+from mathsynth.environment import EnvConfig, Environment, ProblemRejected
+from mathsynth.parsing import Observation, train_bpe
+from mathsynth.problems import generate
 from mathsynth.qlearning import (
+    QUESTION_CACHE_SIZE,
     EpsilonSchedule,
     QFunction,
     TrainConfig,
@@ -18,11 +23,12 @@ from mathsynth.qlearning import (
     evaluate,
     load_checkpoint,
     save_checkpoint,
+    td_errors,
     td_target,
     train,
 )
 from mathsynth.replay import ReplayBuffer
-from mathsynth.search import Step
+from mathsynth.search import Step, play, random_action
 
 
 def _step(reward=0.0, done=True, action=0):
@@ -79,6 +85,11 @@ def test_priorities_must_be_positive():
     buf.insert(_trajectory(True, n=1), positive=True)
     with pytest.raises(ValueError):
         buf.update_priorities([0], [0.0])
+    buf.insert(_trajectory(True, n=2), positive=True)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            buf.update_priorities([0, 1, 2], [2.0, bad, 3.0])
+        assert buf.max_priority() == 1.0  # a rejected update stores nothing
 
 
 def test_priority_updates_shift_sampling():
@@ -283,6 +294,120 @@ def test_masked_argmax_never_selects_masked():
     assert q.greedy_action(feats, mask) in (1, 2)
 
 
+def test_batched_td_errors_equal_the_scalar_targets_bit_for_bit():
+    # the priority pass after each update scores the batch plus an extra
+    # sample at once; each error must equal the one td_target and q_value
+    # give, so that no sampled index can change
+    rng = np.random.default_rng(3)
+    n_actions, dim = 18, 1 << 12
+    online, target = QFunction(n_actions, dim, 0), QFunction(n_actions, dim, 0)
+    # magnitudes across six decades, so a different summation order would
+    # round differently
+    for q in (online, target):
+        q.weights = rng.standard_normal((n_actions, dim)) * 10.0 ** rng.uniform(-3, 3, (n_actions, dim))
+    steps = []
+    for k in range(300):
+        # lengths from 1 to 300, with a few long enough for several
+        # blocks of one length and for pairwise summation to split
+        length = int(rng.choice([1, 7, 40, 40, 129, 300])) if k % 3 else int(rng.integers(1, 300))
+        done = k % 4 == 0
+        if done:
+            mask = None
+        elif k % 5 == 1:
+            mask = np.zeros(n_actions, dtype=bool)  # one action left
+            mask[rng.integers(n_actions)] = True
+        elif k % 7 == 2:
+            mask = None  # an ongoing step whose mask is unknown: all actions
+        else:
+            mask = rng.random(n_actions) < 0.5
+        steps.append(
+            Step(
+                rng.integers(0, dim, length),
+                int(rng.integers(n_actions)),
+                float(rng.choice([0, 1, 0.5])),
+                rng.integers(0, dim, max(1, length + int(rng.integers(-2, 3)))),
+                done,
+                mask,
+            )
+        )
+    # sampling with replacement repeats steps
+    batch = steps + [steps[i] for i in rng.integers(0, len(steps), 100)]
+    for gamma in (0.99, 0.0, 1.0):
+        want = np.array(
+            [abs(td_target(s, gamma, online, target) - online.q_value(s.observation, s.action))
+             for s in batch]
+        )
+        got = td_errors(batch, gamma, online, target)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert td_errors([], 0.99, online, target).shape == (0,)
+
+
+def _uncached_features(q, obs):
+    """QFunction.features as it was before the question cache: every string
+    hashed on every call."""
+    feats = ["bias", f"len:{len(obs.history)}"]
+    if obs.encoded:
+        feats.extend(f"tok:{t}" for t in obs.question)
+    else:
+        text = obs.question
+        words = text.split()
+        feats.extend(f"w:{w}" for w in words)
+        feats.extend(f"b:{a} {b}" for a, b in zip(words, words[1:]))
+        feats.extend(f"g:{text[i:i + 3]}" for i in range(len(text) - 2))
+    feats.extend(f"h{t}:{a}" for t, a in enumerate(obs.history))
+    if obs.history:
+        feats.append(f"last:{obs.history[-1]}")
+    prefix = f"{q.feature_seed}|".encode()
+    return np.array([zlib.crc32(prefix + f.encode()) % q.feature_dim for f in feats], dtype=np.int64)
+
+
+def test_cached_features_equal_the_uncached_hashes():
+    problems = [gp.problem for m in ("numbers__gcd", "calculus__differentiate")
+                for gp in generate(m, 6, 0)]
+    codec = train_bpe([p.question for p in problems], vocab_size=200, max_len=80)
+    envs = [Environment(), Environment(config=EnvConfig(encoded_observations=True), codec=codec)]
+    rng = random.Random(0)
+    observations = []  # every observation of one random episode per problem and env
+    for problem in problems:
+        for env in envs:
+            policy = lambda obs, mask: random_action(mask, env.n_actions, rng)
+            for step, _ in play(env, problem, policy):
+                observations.extend((step.observation, step.next_observation))
+    assert {o.encoded for o in observations} == {False, True}
+    assert len({len(o.history) for o in observations}) > 3
+    rng.shuffle(observations)  # questions interleave, histories vary
+    q = QFunction(envs[0].n_actions, 1 << 12, 5)
+    for obs in observations * 2:  # the second pass hits the cache
+        got = q.features(obs)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _uncached_features(q, obs))
+    # a bounded cache: after 10,000 distinct questions it still holds at
+    # most its bound, and evicted questions hash the same when they return
+    for k in range(10_000):
+        q.features(Observation(f"What is {k} + 1?", (k % 7,), False))
+    info = q._question_features.cache_info()
+    assert info.maxsize == QUESTION_CACHE_SIZE and info.currsize <= QUESTION_CACHE_SIZE
+    for obs in observations[:20]:
+        assert np.array_equal(q.features(obs), _uncached_features(q, obs))
+
+
+def test_question_cache_leaves_no_reference_cycle():
+    # the weights are freed as soon as the last reference goes, not at the
+    # next garbage collection
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        q = QFunction(18, 1 << 10, 0)
+        q.features(Observation("What is 1 + 1?", (3,), False))
+        ref = weakref.ref(q)
+        del q
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_features_distinguish_history_positions():
     q = QFunction(4, 1 << 12, 0)
     a = q.features(Observation("Is 5 prime?", (1, 2), False))
@@ -332,6 +457,26 @@ def test_checkpoint_without_config_is_rejected(tmp_path):
     np.savez_compressed(path, weights=np.zeros((18, 64)), meta=json.dumps(meta))
     with pytest.raises(ValueError, match="ckpt.npz"):
         load_checkpoint(path)
+
+
+def test_checkpoint_weights_must_fit_the_manifest(tmp_path):
+    # without a registry to compare against, the manifest still fixes the
+    # number of actions
+    from mathsynth.operators import default_registry
+
+    path = tmp_path / "ckpt.npz"
+    meta = {"config": {"feature_dim": 64}, "env_steps": 0, "manifest": default_registry().manifest()}
+    for weights, manifest in (
+        (np.zeros((18, 64)), 18),
+        (np.zeros(18), meta["manifest"]),
+        (np.zeros((10, 64)), meta["manifest"]),
+        (np.zeros((18, 65)), meta["manifest"]),
+    ):
+        np.savez_compressed(path, weights=weights, meta=json.dumps({**meta, "manifest": manifest}))
+        with pytest.raises(ValueError, match="ckpt.npz"):
+            load_checkpoint(path)
+    np.savez_compressed(path, weights=np.ones((18, 64)), meta=json.dumps(meta))
+    assert np.array_equal(load_checkpoint(path)[0].weights, np.ones((18, 64)))
 
 
 def _tiny_config(**overrides):
