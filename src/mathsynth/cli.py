@@ -278,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="mine an episode log for frequent subgraphs")
     p.add_argument("--log", required=True)
-    p.add_argument("--min-support", type=int, default=10)
-    p.add_argument("--min-size", type=int, default=2)
+    p.add_argument("--min-support", type=_positive_int, default=10)
+    p.add_argument("--min-size", type=_positive_int, default=2)
     p.add_argument("--registry", default="full")
     p.add_argument("--out")
     p.set_defaults(func=cmd_mine)

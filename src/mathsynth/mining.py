@@ -136,7 +136,10 @@ def _numbered(node, ids: dict):
 
 def mine(rewarded_graphs, min_support: int = 10, min_size: int = 2) -> list:
     """Frequent templates over a corpus of complete rewarded graphs, ranked
-    by support, then size, then text."""
+    by support, then size, then text.  Both thresholds must be at least 1."""
+    for name, threshold in (("min_support", min_support), ("min_size", min_size)):
+        if threshold < 1:
+            raise ValueError(f"{name} must be at least 1, got {threshold}")
     counts = Counter()
     exemplar = {}
     for graph in rewarded_graphs:

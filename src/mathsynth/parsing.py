@@ -164,9 +164,14 @@ class BpeCodec:
         self._inverse = {i: t for t, i in self.vocab.items()}
 
     def tokenize(self, text: str) -> list:
+        """The tokens of text after every merge in order.  A merge whose
+        joined text does not occur in text is skipped: the tokens always
+        concatenate back to text, so an adjacent (left, right) pair implies
+        that left + right occurs in it."""
         tokens = list(text)
         for left, right in self.merges:
-            tokens = _merge(tokens, left, right)
+            if left + right in text:
+                tokens = _merge(tokens, left, right)
         return tokens
 
     def encode(self, text: str) -> list:
@@ -210,17 +215,25 @@ class BpeCodec:
 
 def _merge(tokens, left, right) -> list:
     """tokens with each (left, right) pair, scanned left to right without
-    overlap, joined into one token."""
+    overlap, joined into one token.  The scan jumps from one occurrence of
+    left to the next with list.index and copies the runs in between as
+    slices, so with the merge ("a", "a") the tokens a, a, a give aa, a."""
     merged = left + right
     out = []
-    k = 0
-    while k < len(tokens):
-        if k + 1 < len(tokens) and tokens[k] == left and tokens[k + 1] == right:
+    start = k = 0  # tokens[start:k] are not yet copied
+    stop = len(tokens) - 1  # a pair needs a token after its left half
+    while True:
+        try:
+            k = tokens.index(left, k, stop)
+        except ValueError:
+            break
+        if tokens[k + 1] == right:
+            out += tokens[start:k]
             out.append(merged)
-            k += 2
+            start = k = k + 2
         else:
-            out.append(tokens[k])
             k += 1
+    out += tokens[start:]
     return out
 
 
@@ -246,8 +259,10 @@ def train_bpe(corpus, vocab_size: int, max_len: int = 128) -> BpeCodec:
         best_count = max(counts.values())
         pair = min(p for p, c in counts.items() if c == best_count)
         merges.append(pair)
+        merged = pair[0] + pair[1]
         for s, seq in enumerate(sequences):
-            sequences[s] = _merge(seq, *pair)
+            if merged in corpus[s]:  # the skip rule of BpeCodec.tokenize
+                sequences[s] = _merge(seq, *pair)
     vocab = {tok: i for i, tok in enumerate(base + [l + r for l, r in merges])}
     return BpeCodec(merges=merges, vocab=vocab, pad_index=len(vocab), max_len=max_len)
 

@@ -8,6 +8,10 @@ and of an extra random sample of stored steps are recomputed against the
 current parameters in one pass (td_errors): the weights are fixed there, so
 each distinct step is scored once and steps with equal feature counts are
 scored together, bit for bit as td_target would score them one at a time.
+That holds because each batched sum adds in the order of its scalar twin:
+the action-value and target halves sum a contiguous axis pairwise, as
+weights[a, feats].sum() does, and the argmax half sums over a strided
+feature axis one element after another, as greedy_action does.
 
 The hashed features of a question stay the same for a whole episode, so
 each QFunction keeps those of its most recent questions in a small bounded
@@ -145,10 +149,15 @@ def td_errors(steps, gamma: float, online: QFunction, target: QFunction) -> np.n
     """|td_target(step) - online.q_value(step.observation, step.action)| for
     every step, with the weights fixed.
 
-    Steps with equal feature counts are scored together.  Each block gathers
-    its weight rows once, with one step's L features along the last,
-    contiguous axis; summing over that axis adds each step's weights in the
-    same pairwise order as weights[a, feats].sum().  So every argmax and
+    Steps with equal feature counts are scored together, in blocks of F of
+    shape (k, L).  The action-value and target halves gather
+    weights[actions[:, None], F], whose L features lie along the last,
+    contiguous axis; summing it adds each step's weights in the same
+    pairwise order as weights[a, feats].sum().  The argmax half gathers
+    weights[:, F] of shape (n_actions, k, L), in which the feature axis has
+    a stride of n_actions * 8 bytes (144 with 18 actions), not 8; numpy
+    then sums it sequentially, one feature after another, and so does
+    greedy_action's weights[:, feats].sum(axis=1).  So every argmax and
     every error equals the one-step-at-a-time value bit for bit."""
     values = np.empty(len(steps))
     for ks, feats in _blocks([s.observation for s in steps]):

@@ -438,14 +438,27 @@ def _eval_coeffs(coeffs, x: Fraction) -> Fraction:
 @dataclass(frozen=True)
 class TypedValue:
     """Tagged union over every runtime value kind.  Immutable and hashable;
-    equality is structural."""
+    equality is structural.
+
+    The hash is hash((kind, payload)), computed on first use and kept on the
+    instance, so a value used as a memo key many times hashes its payload
+    tree once.  A str hash differs between processes, so a value must not
+    carry it across one; nothing pickles values."""
 
     kind: str
     payload: object = None
+    _hash = None  # a class attribute, not a field: set on the first __hash__
 
     def __post_init__(self):
         if self.kind not in TYPE_TAGS or self.kind == OBJECT:
             raise LookupError(f"unknown value kind: {self.kind!r}")
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.kind, self.payload))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return f"{self.kind}({render(self)!r})"

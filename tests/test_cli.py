@@ -489,6 +489,19 @@ def test_mine_command(tmp_path, capsys):
     assert "support=12" in stdout
 
 
+@pytest.mark.parametrize(
+    "flag, text",
+    [("--min-support", "0"), ("--min-support", "-3"), ("--min-size", "0"), ("--min-size", "-1")],
+)
+def test_mine_rejects_thresholds_below_one(tmp_path, capsys, flag, text):
+    log = tmp_path / "empty.jsonl"
+    log.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", "--log", str(log), flag, text])
+    assert exc.value.code == 2
+    assert f"{flag}: must be at least 1, got {text}" in capsys.readouterr().err
+
+
 def test_mine_empty_log(tmp_path, capsys):
     log = tmp_path / "empty.jsonl"
     log.write_text("")

@@ -51,6 +51,14 @@ def test_empty_corpus():
     assert mine([], min_support=1, min_size=1) == []
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"min_support": 0}, {"min_support": -3}, {"min_size": 0}, {"min_size": -1}]
+)
+def test_thresholds_below_one_are_rejected(kwargs):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        mine(rewarded_graphs(2, 0), **kwargs)
+
+
 def test_mining_is_deterministic_given_corpus_order():
     graphs = rewarded_graphs(12, 7) + rewarded_graphs(8, 8, order=3)
     a = mine(graphs, min_support=2, min_size=1)

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from collections import Counter
 
 import pytest
 
@@ -6,6 +8,7 @@ from mathsynth.parsing import (
     BpeCodec,
     BpeError,
     ExtractionError,
+    _merge,
     extract_inputs,
     train_bpe,
 )
@@ -157,6 +160,106 @@ def test_codec_serialization_reproduces_encodings(tmp_path):
         assert (loaded.pad_index, loaded.max_len) == (codec.pad_index, codec.max_len)
         for q in corpus:
             assert loaded.encode(q) == codec.encode(q)
+
+
+# reference copies of the merge path before tokenize skipped merges and
+# _merge jumped between occurrences: every merge scans every token
+
+
+def reference_merge(tokens, left, right):
+    out = []
+    k = 0
+    while k < len(tokens):
+        if k + 1 < len(tokens) and tokens[k] == left and tokens[k + 1] == right:
+            out.append(left + right)
+            k += 2
+        else:
+            out.append(tokens[k])
+            k += 1
+    return out
+
+
+def reference_tokenize(merges, text):
+    tokens = list(text)
+    for left, right in merges:
+        tokens = reference_merge(tokens, left, right)
+    return tokens
+
+
+def reference_train(corpus, n_merges):
+    sequences = [list(q) for q in corpus]
+    merges = []
+    for _ in range(n_merges):
+        counts = Counter()
+        for seq in sequences:
+            counts.update(zip(seq, seq[1:]))
+        if not counts:
+            break
+        best_count = max(counts.values())
+        pair = min(p for p, c in counts.items() if c == best_count)
+        merges.append(pair)
+        sequences = [reference_merge(seq, *pair) for seq in sequences]
+    return merges
+
+
+def random_text(rng, alphabet, longest):
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, longest)))
+
+
+def test_merge_equals_the_token_by_token_scan():
+    rng = random.Random(5)
+    cases = [
+        ([], "a", "a"),
+        (["a"], "a", "a"),
+        (["a", "a", "a"], "a", "a"),  # left to right, no overlap: aa, a
+        (["a", "a", "a", "a"], "a", "a"),
+        (["b", "a", "b"], "a", "b"),  # the pair in the last position
+        (["a", "b", "a"], "a", "b"),
+        (["ab", "ab", "ab"], "ab", "ab"),
+    ]
+    for _ in range(3000):
+        alphabet = "ab" if rng.random() < 0.5 else "abc"
+        pool = list(alphabet) + [x + y for x in alphabet for y in alphabet][:3]
+        tokens = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        cases.append((tokens, rng.choice(pool), rng.choice(pool)))
+    assert _merge(["a", "a", "a"], "a", "a") == ["aa", "a"]
+    for tokens, left, right in cases:
+        before = list(tokens)
+        got = _merge(tokens, left, right)
+        assert got == reference_merge(tokens, left, right), (tokens, left, right)
+        assert tokens == before  # the input list is not changed
+
+
+def test_tokenize_equals_applying_every_merge():
+    rng = random.Random(6)
+    for _ in range(300):
+        alphabet = rng.choice(["ab", "abc"])
+        vocab = list(alphabet)
+        merges = []
+        for _ in range(rng.randint(0, 8)):
+            pair = (rng.choice(vocab), rng.choice(vocab))
+            merges.append(pair)
+            vocab.append(pair[0] + pair[1])
+        index = {tok: i for i, tok in enumerate(dict.fromkeys(vocab))}
+        codec = BpeCodec(merges=merges, vocab=index, pad_index=len(index), max_len=40)
+        for _ in range(10):
+            text = random_text(rng, alphabet, 40)
+            assert codec.tokenize(text) == reference_tokenize(merges, text), (merges, text)
+
+
+def test_training_equals_the_loop_that_merges_every_question():
+    rng = random.Random(7)
+    for _ in range(150):
+        alphabet = rng.choice(["ab", "abc"])
+        corpus = [random_text(rng, alphabet, 16) for _ in range(rng.randint(1, 8))]
+        base = sorted({ch for q in corpus for ch in q})
+        if not base:
+            continue
+        n_merges = rng.randint(1, 10)
+        codec = train_bpe(corpus, vocab_size=len(base) + n_merges)
+        merges = reference_train(corpus, n_merges)
+        assert codec.merges == merges, corpus
+        assert codec.vocab == {t: i for i, t in enumerate(base + [l + r for l, r in merges])}
 
 
 BPE_DIGEST = "13e1307ac8b427f40a1d96b369d0cfc0c0467281b2b967ee5abfd66d3d9182c9"

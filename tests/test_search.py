@@ -286,3 +286,16 @@ def test_search_results_are_pinned():
             if res.actions is not None:
                 assert env.replay(problem, res.actions)[0] == 1
     assert digest.hexdigest() == SEARCH_DIGEST
+
+
+def test_search_evaluation_counts_are_pinned():
+    # distinct operator evaluations of the pinned searches above; the memo
+    # finds a value by its hash, so these guard the hash of TypedValue
+    env = Environment()
+    counts = []
+    for module in SUPPORTED_MODULES:
+        problem = generate(module, 1, 23)[0].problem
+        for count_all in (False, True):
+            res = exhaustive_solve(env, problem, max_nodes=6, count_all=count_all)
+            counts.append(res.n_evaluated)
+    assert counts == [19, 34, 3, 19, 1, 1, 9, 11, 5, 6, 12, 9, 16, 14, 32, 27, 10, 3, 10, 3, 27, 27]

@@ -203,3 +203,26 @@ def test_parse_value_is_pinned():
                     digest.update(f"{text}|{expected}|{v.kind}|{render(v)}\n".encode())
     assert n_parses == 46226
     assert digest.hexdigest() == PARSE_DIGEST
+
+
+def test_equal_values_built_separately_hash_equal():
+    def build():
+        return [
+            value(Fraction(-19, 36)),
+            rational(3, 4),
+            variable("x"),
+            parse_value("6*k**2 - 101*k + 2548"),
+            parse_value("2*x = 4"),
+            parse_value("w(j) = 4*h(j) - v(j)"),
+            value_set([3, 1, 2]),
+            equation_list([parse_value("x = 1").payload]),
+            variable_map({"x": Fraction(1), "y": Fraction(-2)}),
+            boolean(True),
+            ABSENT,
+        ]
+
+    for a, b in zip(build(), build()):
+        assert a == b and hash(a) == hash(b) == hash((a.kind, a.payload))
+        assert hash(a) == hash(a)  # the kept hash is the computed one
+        assert {a: 1}[b] == 1
+    assert len(set(build()) | set(build())) == len(build())
