@@ -8,10 +8,20 @@ and of an extra random sample of stored steps are recomputed against the
 current parameters in one pass (td_errors): the weights are fixed there, so
 each distinct step is scored once and steps with equal feature counts are
 scored together, bit for bit as td_target would score them one at a time.
-That holds because each batched sum adds in the order of its scalar twin:
-the action-value and target halves sum a contiguous axis pairwise, as
-weights[a, feats].sum() does, and the argmax half sums over a strided
-feature axis one element after another, as greedy_action does.
+
+The weights are stored feature-major, (feature_dim, n_actions), so the
+action weights of one hashed feature lie side by side.  Every sum keeps one
+of two orders, and each batched sum keeps the order of its scalar twin:
+- q_value gathers one action's weights into a contiguous array and sums it
+  pairwise, and so do td_errors' action-value half and the target values;
+- q_values (so greedy_action) gathers an (L, n_actions) block and reduces
+  its outer axis, adding the features one after another, and so does
+  td_errors' argmax half over its (k, L, n_actions) block.
+
+The target copy changes only when train() syncs it, so the values of every
+action at each stored next observation are computed once per sync
+(QFunction.frozen_values) and the update loop and td_errors read them from
+there; each equals target.q_value bit for bit.
 
 The hashed features of a question stay the same for a whole episode, so
 each QFunction keeps those of its most recent questions in a small bounded
@@ -73,13 +83,21 @@ def _question_features(prefix: bytes, feature_dim: int, question, encoded: bool)
 
 
 class QFunction:
-    """Linear action-value function over hashed sparse features."""
+    """Linear action-value function over hashed sparse features.
+
+    The weights are stored feature-major, shape (feature_dim, n_actions),
+    so the action weights of one hashed feature lie side by side;
+    `weights` is the (n_actions, feature_dim) view of that storage.  Used
+    as a Double-DQN target, a QFunction keeps the values of every action
+    at each feature array it has scored (frozen_values) until sync()
+    copies new weights in."""
 
     def __init__(self, n_actions: int, feature_dim: int = 1 << 15, feature_seed: int = 1):
         self.n_actions = n_actions
         self.feature_dim = feature_dim
         self.feature_seed = feature_seed
-        self.weights = np.zeros((n_actions, feature_dim))
+        self._wt = np.zeros((feature_dim, n_actions))
+        self._frozen: dict = {}  # id(feats) -> (feats, values of every action)
         self._prefix = f"{feature_seed}|".encode()
         # (question, encoded) -> hashed question part; the cached function
         # holds no reference to self, so dropping a QFunction frees its
@@ -87,6 +105,23 @@ class QFunction:
         self._question_features = lru_cache(maxsize=QUESTION_CACHE_SIZE)(
             partial(_question_features, self._prefix, feature_dim)
         )
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The (n_actions, feature_dim) view of the weights; writes to it
+        change them."""
+        return self._wt.T
+
+    @weights.setter
+    def weights(self, value):
+        self._wt = np.array(np.asarray(value).T, dtype=float, order="C")
+        self._frozen.clear()
+
+    def sync(self, online: "QFunction"):
+        """Copy online's weights into this target copy and drop the values
+        it has kept."""
+        self._wt[:] = online._wt
+        self._frozen.clear()
 
     def _hash(self, feat: str) -> int:
         return zlib.crc32(self._prefix + feat.encode()) % self.feature_dim
@@ -103,20 +138,40 @@ class QFunction:
         return np.concatenate((question[:1], hashed[:1], question[1:], hashed[1:]))
 
     def q_values(self, feats: np.ndarray) -> np.ndarray:
-        return self.weights[:, feats].sum(axis=1)
+        # an (L, n_actions) block reduced over its outer axis: every
+        # action's sum adds the features one after another
+        return np.add.reduce(self._wt.take(feats, axis=0), axis=0)
 
     def q_value(self, feats: np.ndarray, action: int) -> float:
-        return float(self.weights[action, feats].sum())
+        # a contiguous gather from the action's column, summed pairwise
+        return float(np.add.reduce(self._wt[:, action][feats]))
 
     def greedy_action(self, feats: np.ndarray, mask) -> int:
         q = self.q_values(feats)
         if mask is not None:
             q = np.where(np.asarray(mask, dtype=bool), q, -np.inf)
-        return int(np.argmax(q))
+        return int(q.argmax())
+
+    def frozen_values(self, feature_arrays) -> list:
+        """The values of every action at each feature array, each equal to
+        q_value's, computed once per array until the next sync() or weight
+        assignment.  Meant for a target copy, whose weights change only
+        there.  An array is known by its identity, and the cache holds it,
+        so its id cannot be reused while cached; feature arrays are never
+        written after hashing."""
+        kept = self._frozen
+        missing = list({id(f): f for f in feature_arrays if id(f) not in kept}.values())
+        for part, feats in _blocks(missing):
+            # (k, n_actions, L) with the features along the contiguous last
+            # axis, so each sum is pairwise, as q_value's
+            values = np.ascontiguousarray(self._wt[feats].transpose(0, 2, 1)).sum(axis=2)
+            for j, row in zip(part, values):
+                kept[id(missing[j])] = (missing[j], row)
+        return [kept[id(f)][1] for f in feature_arrays]
 
     def clone(self) -> "QFunction":
         out = QFunction(self.n_actions, self.feature_dim, self.feature_seed)
-        out.weights = self.weights.copy()
+        out._wt = self._wt.copy()
         return out
 
 
@@ -142,7 +197,7 @@ def _blocks(feature_arrays):
     for positions in by_length.values():
         for i in range(0, len(positions), _BLOCK):
             part = positions[i : i + _BLOCK]
-            yield part, np.stack([feature_arrays[k] for k in part])
+            yield part, np.array([feature_arrays[k] for k in part])
 
 
 def td_errors(steps, gamma: float, online: QFunction, target: QFunction) -> np.ndarray:
@@ -150,31 +205,34 @@ def td_errors(steps, gamma: float, online: QFunction, target: QFunction) -> np.n
     every step, with the weights fixed.
 
     Steps with equal feature counts are scored together, in blocks of F of
-    shape (k, L).  The action-value and target halves gather
-    weights[actions[:, None], F], whose L features lie along the last,
-    contiguous axis; summing it adds each step's weights in the same
-    pairwise order as weights[a, feats].sum().  The argmax half gathers
-    weights[:, F] of shape (n_actions, k, L), in which the feature axis has
-    a stride of n_actions * 8 bytes (144 with 18 actions), not 8; numpy
-    then sums it sequentially, one feature after another, and so does
-    greedy_action's weights[:, feats].sum(axis=1).  So every argmax and
-    every error equals the one-step-at-a-time value bit for bit."""
+    shape (k, L).  The action-value half gathers the feature-major weights
+    at [F, actions[:, None]], a (k, L) block whose L features lie along the
+    last, contiguous axis; summing it adds each step's weights in the same
+    pairwise order as q_value.  The argmax half gathers [F] of shape
+    (k, L, n_actions) and reduces the middle axis, which numpy does one
+    feature after another, as greedy_action's q_values does.  The target
+    half reads target.frozen_values, pairwise sums as q_value's.  So every
+    argmax and every error equals the one-step-at-a-time value bit for
+    bit."""
     values = np.empty(len(steps))
     for ks, feats in _blocks([s.observation for s in steps]):
         actions = np.array([steps[k].action for k in ks])
-        values[ks] = online.weights[actions[:, None], feats].sum(axis=1)
+        values[ks] = online._wt[feats, actions[:, None]].sum(axis=1)
     targets = np.array([float(s.reward) for s in steps])
     ongoing = [k for k, s in enumerate(steps) if not s.done]
+    next_feats = [steps[k].next_observation for k in ongoing]
+    # (ongoing steps, actions), with 0 rows when every step is done
+    frozen = np.array(target.frozen_values(next_feats)).reshape(-1, online.n_actions)
     all_actions = np.ones(online.n_actions, dtype=bool)
-    for part, feats in _blocks([steps[k].next_observation for k in ongoing]):
+    for part, feats in _blocks(next_feats):
         ks = [ongoing[j] for j in part]
-        q = online.weights[:, feats].sum(axis=2).T  # (steps, actions)
+        q = np.add.reduce(online._wt.take(feats, axis=0), axis=1)  # (steps, actions)
         masks = np.array(
             [all_actions if steps[k].next_mask is None else steps[k].next_mask for k in ks],
             dtype=bool,
         )
         best = np.argmax(np.where(masks, q, -np.inf), axis=1)
-        targets[ks] += gamma * target.weights[best[:, None], feats].sum(axis=1)
+        targets[ks] += gamma * frozen[part, best]
     return np.abs(targets - values)
 
 
@@ -189,7 +247,9 @@ def save_checkpoint(path, result: TrainResult):
         "env_steps": result.env_steps,
         "manifest": result.registry.manifest(),
     }
-    np.savez_compressed(path, weights=result.q.weights, meta=json.dumps(meta))
+    # row-major (n_actions, feature_dim), the layout every checkpoint has
+    weights = np.ascontiguousarray(result.q.weights)
+    np.savez_compressed(path, weights=weights, meta=json.dumps(meta))
 
 
 def load_checkpoint(path, registry: Registry | None = None):
@@ -214,6 +274,12 @@ def load_checkpoint(path, registry: Registry | None = None):
     shape = (len(meta["manifest"].splitlines()) + config.n_inputs, config.feature_dim)
     if weights.shape != shape:
         raise ValueError(f"{path}: checkpoint weights have shape {weights.shape}, expected {shape}")
+    # integer weights would truncate every update, and a non-finite weight
+    # makes every value it touches meaningless
+    if weights.dtype.kind != "f":
+        raise ValueError(f"{path}: checkpoint weights are {weights.dtype}, not floating point")
+    if not np.isfinite(weights).all():
+        raise ValueError(f"{path}: checkpoint weights are not all finite")
     q = QFunction(*shape, config.feature_seed)
     q.weights = weights
     return q, config, meta["env_steps"]
@@ -311,8 +377,15 @@ def _batch_update(q, target, buffer, cfg, nrng, update_count):
     idx, batch = buffer.sample(cfg.batch_size, nrng)
     deltas = np.empty(len(batch))
     scale = cfg.learning_rate / len(batch)
+    # the target's weights change only at a sync, so its values at each next
+    # observation come from its frozen values, one row per ongoing step
+    frozen = iter(target.frozen_values([s.next_observation for s in batch if not s.done]))
     for k, step in enumerate(batch):
-        tgt = td_target(step, cfg.gamma, q, target)
+        # td_target, with the target's q_value read from its frozen row
+        tgt = float(step.reward)
+        if not step.done:
+            best = q.greedy_action(step.next_observation, step.next_mask)
+            tgt += cfg.gamma * next(frozen)[best]
         delta = tgt - q.q_value(step.observation, step.action)
         deltas[k] = delta
         np.add.at(q.weights[step.action], step.observation, scale * delta)
@@ -442,7 +515,7 @@ def train(
                     last_loss = _batch_update(q, target, buffer, config, nrng, updates)
                     updates += 1
                     if updates % config.target_sync == 0:
-                        target.weights[:] = q.weights
+                        target.sync(q)
             if env_steps % config.eval_interval == 0:
                 log_eval()
             if env_steps == config.total_steps:

@@ -396,6 +396,39 @@ def test_eval_rejects_incomplete_checkpoints_naming_the_file(tmp_path, capsys, m
     assert "Traceback" not in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize(
+    "weights",
+    [lambda shape: np.ones(shape, dtype=np.int64), lambda shape: np.full(shape, np.nan)],
+    ids=["int64-weights", "nan-weights"],
+)
+def test_checkpoint_weights_must_be_finite_floats(tmp_path, capsys, command, weights):
+    # integer weights used to truncate every update of a resumed run, and
+    # NaN weights used to be evaluated; both are rejected on loading
+    registry = default_registry()
+    config = TrainConfig(modules=("numbers__is_prime",), feature_dim=1024)
+    good = tmp_path / "good.npz"
+    q = QFunction(registry.n_ops + config.n_inputs, config.feature_dim, config.feature_seed)
+    save_checkpoint(good, TrainResult(q, [], 60, 0, registry, config))
+    with np.load(good) as data:
+        meta = str(data["meta"])
+    path = tmp_path / "bad.npz"
+    np.savez_compressed(path, weights=weights(q.weights.shape), meta=meta)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN)
+    out = tmp_path / "run"
+    argv = (
+        ["train", "--config", str(cfg), "--out", str(out), "--checkpoint", str(path)]
+        if command == "train"
+        else ["eval", "--checkpoint", str(path), "--count", "2"]
+    )
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {path}: checkpoint weights are ")
+    assert "Traceback" not in err and "internal error" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["episode", "mine"])
 def test_unknown_registry_operator_is_a_data_error(tmp_path, capsys, command):
     log = tmp_path / "empty.jsonl"

@@ -20,6 +20,7 @@ from mathsynth.qlearning import (
     TrainConfig,
     TrainingDiverged,
     TrainResult,
+    _batch_update,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -341,6 +342,151 @@ def test_batched_td_errors_equal_the_scalar_targets_bit_for_bit():
         assert got.shape == want.shape
         assert np.array_equal(got, want)
     assert td_errors([], 0.99, online, target).shape == (0,)
+
+
+def _six_decades(rng, shape):
+    # magnitudes across six decades, so sums in another order round
+    # differently
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+def test_feature_major_sums_equal_the_row_major_expressions():
+    # the weights used to be stored row-major, (n_actions, feature_dim):
+    # q_values was weights[:, feats].sum(axis=1), which adds the features
+    # one after another, and q_value was weights[a, feats].sum(), which
+    # adds them pairwise; the feature-major storage must keep both orders
+    rng = np.random.default_rng(19)
+    n_actions, dim = 18, 1 << 10
+    q = QFunction(n_actions, dim, 0)
+    orders_differ = 0
+    for trial in range(600):
+        if trial % 50 == 0:
+            W = _six_decades(rng, (n_actions, dim))  # C-ordered, row-major
+            q.weights = W
+        # lengths 1 to 300, past 128 where pairwise summation splits, and
+        # runs that repeat feature indices
+        length = int(rng.integers(1, 301)) if trial % 3 else int(rng.choice([1, 2, 129, 257, 300]))
+        high = 8 if trial % 4 == 0 else dim
+        feats = rng.integers(0, high, length)
+        sequential = W[:, feats].sum(axis=1)
+        pairwise = np.array([W[a, feats].sum() for a in range(n_actions)])
+        orders_differ += not np.array_equal(sequential, pairwise)
+        assert np.array_equal(q.q_values(feats), sequential)
+        assert [q.q_value(feats, a) for a in range(n_actions)] == pairwise.tolist()
+        mask = rng.random(n_actions) < 0.5
+        assert q.greedy_action(feats, mask) == int(np.argmax(np.where(mask, sequential, -np.inf)))
+        assert np.array_equal(q.frozen_values([feats])[0], pairwise)
+    assert orders_differ > 100  # the data tells the two orders apart
+
+
+class _RowMajorQ:
+    """QFunction's value functions as they were on row-major weights."""
+
+    def __init__(self, weights):
+        self.weights = np.array(weights, order="C")
+
+    def q_value(self, feats, action):
+        return float(self.weights[action, feats].sum())
+
+    def greedy_action(self, feats, mask):
+        q = self.weights[:, feats].sum(axis=1)
+        if mask is not None:
+            q = np.where(np.asarray(mask, dtype=bool), q, -np.inf)
+        return int(np.argmax(q))
+
+
+def _reference_batch_update(online, target, buffer, cfg, nrng):
+    """_batch_update as a scalar loop of td_target, q_value and np.add.at
+    on row-major weights, with the scalar priority of every step."""
+    idx, batch = buffer.sample(cfg.batch_size, nrng)
+    scale = cfg.learning_rate / len(batch)
+    for step in batch:
+        delta = td_target(step, cfg.gamma, online, target) - online.q_value(step.observation, step.action)
+        np.add.at(online.weights[step.action], step.observation, scale * delta)
+    extra = buffer.random_indices(cfg.batch_size, nrng)
+    all_idx = list(dict.fromkeys([*idx.tolist(), *extra.tolist()]))
+    errors = [
+        abs(td_target(s, cfg.gamma, online, target) - online.q_value(s.observation, s.action))
+        for s in buffer.steps_at(all_idx)
+    ]
+    buffer.update_priorities(all_idx, np.array(errors) + cfg.priority_floor)
+
+
+def _episode_buffers(rng, n_actions, dim):
+    """Two equal buffers of short episodes whose step t+1 observes the
+    feature array step t led to, as train() stores them."""
+    buffers = (ReplayBuffer(capacity_per_store=200), ReplayBuffer(capacity_per_store=200))
+    for episode in range(12):
+        length = int(rng.integers(1, 6))
+        n_feats = int(rng.integers(20, 140))
+        obs = [rng.integers(0, dim, n_feats + t) for t in range(length + 1)]
+        positive = episode % 2 == 0
+        steps = []
+        for t in range(length):
+            done = t == length - 1
+            mask = None if done else rng.random(n_actions) < 0.6
+            reward = float(positive and done)
+            steps.append(Step(obs[t], int(rng.integers(n_actions)), reward, obs[t + 1], done, mask))
+        for buffer in buffers:
+            buffer.insert(steps, positive=positive)
+    return buffers
+
+
+def test_batch_update_equals_the_scalar_loop_bit_for_bit():
+    # the update loop reads each target value from the target's frozen
+    # values, kept from one sync to the next; weights and priorities must
+    # equal those of the scalar loop exactly, across a target sync
+    rng = np.random.default_rng(23)
+    n_actions, dim = 18, 1 << 11
+    cfg = TrainConfig(batch_size=32, learning_rate=0.05, gamma=0.99, feature_dim=dim)
+    q = QFunction(n_actions, dim, 0)
+    q.weights = _six_decades(rng, (n_actions, dim)) * 1e-2
+    target = q.clone()
+    ref_online, ref_target = _RowMajorQ(q.weights), _RowMajorQ(target.weights)
+    buffer, ref_buffer = _episode_buffers(rng, n_actions, dim)
+    nrng, ref_nrng = np.random.default_rng(5), np.random.default_rng(5)
+    for update in range(6):
+        if update in (2, 4):
+            target.sync(q)
+            ref_target.weights[:] = ref_online.weights
+        loss = _batch_update(q, target, buffer, cfg, nrng, update)
+        _reference_batch_update(ref_online, ref_target, ref_buffer, cfg, ref_nrng)
+        assert np.isfinite(loss)
+        assert np.array_equal(q.weights, ref_online.weights)
+        assert np.array_equal(buffer._prios, ref_buffer._prios)
+    assert not np.array_equal(q.weights, target.weights)  # the updates moved the weights
+
+
+def test_row_major_checkpoints_load_to_the_same_values(tmp_path):
+    # earlier checkpoints hold a C-ordered (n_actions, feature_dim) array
+    from mathsynth.operators import default_registry
+
+    rng = np.random.default_rng(29)
+    registry = default_registry()
+    n_actions, dim = registry.n_ops + 3, 64
+    written = tmp_path / "written.npz"
+    save_checkpoint(written, _result(QFunction(n_actions, dim, 0), registry, feature_dim=dim))
+    with np.load(written) as data:
+        meta = str(data["meta"])
+    W = _six_decades(rng, (n_actions, dim))
+    old = tmp_path / "row_major.npz"
+    np.savez_compressed(old, weights=W, meta=meta)
+    q = load_checkpoint(old)[0]
+    for length in (1, 5, 60, 129, 300):
+        feats = rng.integers(0, dim, length)
+        assert np.array_equal(q.q_values(feats), W[:, feats].sum(axis=1))
+        assert [q.q_value(feats, a) for a in range(n_actions)] == [
+            float(W[a, feats].sum()) for a in range(n_actions)
+        ]
+    # a round trip keeps the shape, the values and the row-major file layout
+    again = tmp_path / "again.npz"
+    save_checkpoint(again, _result(q, registry, feature_dim=dim))
+    with np.load(again) as data:
+        assert data["weights"].shape == (n_actions, dim) and data["weights"].flags.c_contiguous
+        assert np.array_equal(data["weights"], W)
+    loaded = load_checkpoint(again)[0]
+    assert loaded.weights.shape == (n_actions, dim)
+    assert np.array_equal(loaded.weights, W)
 
 
 def _uncached_features(q, obs):
