@@ -25,6 +25,7 @@ from .problems import (
     write_dataset_file,
 )
 from .qlearning import (
+    TEST_SEED_OFFSET,
     TrainConfig,
     TrainingDiverged,
     evaluate,
@@ -194,9 +195,11 @@ def cmd_eval(args) -> int:
     registry = _registry_for(args.registry)
     q, config, _ = load_checkpoint(args.checkpoint, registry)
     modules = config.modules if args.module is None else _parse_modules(args.module)
+    # by default, problems that neither training nor its held-out checks saw
+    seed = config.seed + TEST_SEED_OFFSET if args.seed is None else args.seed
     problems = []
     for module in modules:
-        problems.extend(gp.problem for gp in generate(module, args.count, args.seed))
+        problems.extend(gp.problem for gp in generate(module, args.count, seed))
     per_module = evaluate(q, Environment(registry, config), problems)
     width = max(len(m) for m in per_module)
     for module, mean in per_module.items():
@@ -272,7 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--module")
     p.add_argument("--count", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=123)
+    p.add_argument(
+        "--seed",
+        type=int,
+        help="problem seed (default: the checkpoint's seed plus an offset, so that "
+        "no question comes from its training or held-out pool)",
+    )
     p.add_argument("--registry", default="default")
     p.set_defaults(func=cmd_eval)
 

@@ -23,9 +23,20 @@ action at each stored next observation are computed once per sync
 (QFunction.frozen_values) and the update loop and td_errors read them from
 there; each equals target.q_value bit for bit.
 
-The hashed features of a question stay the same for a whole episode, so
-each QFunction keeps those of its most recent questions in a small bounded
-cache and hashes only the history part on every call.
+Every feature is hashed as zlib.crc32(prefix + name) % feature_dim.  Since
+zlib.crc32(a + b) == zlib.crc32(b, zlib.crc32(a)), the crc of the prefix
+and a feature kind ("w:", "b:", "g:", "tok:") is taken once, each word,
+bigram, trigram or token is fed into it without building the feature's
+string, and % feature_dim is applied once to the whole int64 array.  The
+trigrams of ASCII text are 3-byte slices of the encoded question; other
+text keeps 3-character slices, each encoded, so a multi-byte character
+hashes as part of its character trigram.
+
+The question part of the features stays the same for a whole episode and
+the history part repeats across episodes, so each QFunction keeps both in
+small bounded caches (QUESTION_CACHE_SIZE questions, HISTORY_CACHE_SIZE
+histories); a call that hits both only concatenates the bias, the history
+length, the question part and the rest of the history part.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import json
 import random
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -62,24 +73,42 @@ class EpsilonSchedule:
 
 
 QUESTION_CACHE_SIZE = 256  # questions whose hashed features a QFunction keeps
+HISTORY_CACHE_SIZE = 1024  # action histories whose hashed features a QFunction keeps
 
 
 def _question_features(prefix: bytes, feature_dim: int, question, encoded: bool) -> np.ndarray:
-    """Hashed indices of the bias and of the question's tokens, or of its
-    words, bigrams and character trigrams."""
-    feats = ["bias"]
+    """Hashed indices of the question's tokens, or of its words, bigrams and
+    character trigrams."""
+    crc32 = zlib.crc32
+    seed = crc32(prefix)
+    hashes = []
     if encoded:
-        feats.extend(f"tok:{t}" for t in question)
+        tok = crc32(b"tok:", seed)
+        hashes.extend([crc32(str(t).encode(), tok) for t in question])
     else:
-        words = question.split()
-        feats.extend(f"w:{w}" for w in words)
-        feats.extend(f"b:{a} {b}" for a, b in zip(words, words[1:]))
-        feats.extend(f"g:{question[i:i + 3]}" for i in range(len(question) - 2))
-    return np.fromiter(
-        (zlib.crc32(prefix + f.encode()) % feature_dim for f in feats),
-        dtype=np.int64,
-        count=len(feats),
-    )
+        w, b, g = crc32(b"w:", seed), crc32(b"b:", seed), crc32(b"g:", seed)
+        words = [word.encode() for word in question.split()]
+        hashes.extend([crc32(x, w) for x in words])
+        hashes.extend([crc32(x + b" " + y, b) for x, y in zip(words, words[1:])])
+        if question.isascii():  # one byte per character: slice the bytes
+            data = question.encode()
+            hashes.extend([crc32(data[i : i + 3], g) for i in range(len(data) - 2)])
+        else:
+            n = len(question) - 2
+            hashes.extend([crc32(question[i : i + 3].encode(), g) for i in range(n)])
+    return np.array(hashes, dtype=np.int64) % feature_dim
+
+
+def _history_features(prefix: bytes, feature_dim: int, history: tuple) -> tuple:
+    """Hashed index of the history length, and those of each action at its
+    position and of the last action: two arrays."""
+    names = [f"len:{len(history)}"]
+    names.extend(f"h{t}:{a}" for t, a in enumerate(history))
+    if history:
+        names.append(f"last:{history[-1]}")
+    seed = zlib.crc32(prefix)
+    hashed = np.array([zlib.crc32(n.encode(), seed) for n in names], dtype=np.int64) % feature_dim
+    return hashed[:1], hashed[1:]
 
 
 class QFunction:
@@ -99,11 +128,16 @@ class QFunction:
         self._wt = np.zeros((feature_dim, n_actions))
         self._frozen: dict = {}  # id(feats) -> (feats, values of every action)
         self._prefix = f"{feature_seed}|".encode()
-        # (question, encoded) -> hashed question part; the cached function
-        # holds no reference to self, so dropping a QFunction frees its
-        # weights at once rather than at the next garbage collection
+        self._bias = np.array([zlib.crc32(self._prefix + b"bias") % feature_dim], dtype=np.int64)
+        # (question, encoded) -> hashed question part, and history -> hashed
+        # history part; the cached functions hold no reference to self, so
+        # dropping a QFunction frees its weights at once rather than at the
+        # next garbage collection
         self._question_features = lru_cache(maxsize=QUESTION_CACHE_SIZE)(
             partial(_question_features, self._prefix, feature_dim)
+        )
+        self._history_features = lru_cache(maxsize=HISTORY_CACHE_SIZE)(
+            partial(_history_features, self._prefix, feature_dim)
         )
 
     @property
@@ -123,19 +157,12 @@ class QFunction:
         self._wt[:] = online._wt
         self._frozen.clear()
 
-    def _hash(self, feat: str) -> int:
-        return zlib.crc32(self._prefix + feat.encode()) % self.feature_dim
-
     def features(self, obs: Observation) -> np.ndarray:
         """Hashed indices of the bias, the history length, the question and
         the action history, in that order."""
+        length, history = self._history_features(obs.history)
         question = self._question_features(obs.question, obs.encoded)
-        history = [f"len:{len(obs.history)}"]
-        history.extend(f"h{t}:{a}" for t, a in enumerate(obs.history))
-        if obs.history:
-            history.append(f"last:{obs.history[-1]}")
-        hashed = np.fromiter((self._hash(f) for f in history), dtype=np.int64, count=len(history))
-        return np.concatenate((question[:1], hashed[:1], question[1:], hashed[1:]))
+        return np.concatenate((self._bias, length, question, history))
 
     def q_values(self, feats: np.ndarray) -> np.ndarray:
         # an (L, n_actions) block reduced over its outer axis: every
@@ -359,6 +386,9 @@ class TrainResult:
 
 
 _EVAL_SEED_OFFSET = 10_000_019  # held-out problems come from a disjoint seed
+# `mathsynth eval` draws its default problems at config.seed plus this, a
+# seed apart from both the training pool's and the held-out pool's
+TEST_SEED_OFFSET = 2 * _EVAL_SEED_OFFSET
 
 
 def evaluate(q: QFunction, env: Environment, problems) -> dict:
@@ -487,7 +517,7 @@ def train(
         feats.extend(features(s.next_observation) for s in steps)
         buffer.insert(
             [
-                replace(s, observation=feats[t], next_observation=feats[t + 1])
+                Step(feats[t], s.action, s.reward, feats[t + 1], s.done, s.next_mask)
                 for t, s in enumerate(steps)
             ],
             positive=any(s.reward for s in steps),

@@ -6,8 +6,10 @@ import pytest
 from mathsynth.cli import ConfigError, load_config, main
 from mathsynth.environment import Environment
 from mathsynth.operators import default_registry
-from mathsynth.problems import load_dataset_file
+from mathsynth.problems import generate, load_dataset_file
 from mathsynth.qlearning import (
+    _EVAL_SEED_OFFSET,
+    TEST_SEED_OFFSET,
     QFunction,
     TrainConfig,
     TrainResult,
@@ -437,6 +439,38 @@ def test_unknown_registry_operator_is_a_data_error(tmp_path, capsys, command):
     code, stdout, err = run(capsys, command, *source, "--registry", "is_prime,nosuch")
     assert (code, stdout) == (1, "")
     assert err == "error: unknown operator: 'nosuch'\n"
+
+
+def test_eval_defaults_to_questions_outside_the_training_pools(tmp_path, capsys, monkeypatch):
+    # a run trained at seed 123 draws its pool from generate(m, n, 123); eval's
+    # default seed used to be 123 as well, so it scored the training questions
+    registry = default_registry()
+    config = TrainConfig(modules=("numbers__gcd",), seed=123, feature_dim=1024)
+    path = tmp_path / "c.npz"
+    q = QFunction(registry.n_ops + config.n_inputs, config.feature_dim, config.feature_seed)
+    save_checkpoint(path, TrainResult(q, [], 60, 0, registry, config))
+    evaluated = []
+
+    def record(q, env, problems):
+        evaluated.append([p.question for p in problems])
+        return {"numbers__gcd": 0.0}
+
+    monkeypatch.setattr("mathsynth.cli.evaluate", record)
+    for seed in ([], ["--seed", "123"]):
+        code, _, err = run(capsys, "eval", "--checkpoint", str(path), "--count", "200", *seed)
+        assert code == 0, err
+    default, explicit = evaluated
+
+    def questions(count, seed):
+        return [gp.problem.question for gp in generate("numbers__gcd", count, seed)]
+
+    assert TEST_SEED_OFFSET not in (0, _EVAL_SEED_OFFSET)
+    assert default == questions(200, 123 + TEST_SEED_OFFSET)
+    # another seed's stream: a question recurs in either pool only by chance
+    training, held_out = set(questions(1000, 123)), set(questions(100, 123 + _EVAL_SEED_OFFSET))
+    assert len(set(default) & training) + len(set(default) & held_out) <= 5
+    # an explicit seed still picks the problems; 123 is the training pool's start
+    assert explicit == questions(200, 123)
 
 
 def test_eval_rejects_checkpoint_without_config(tmp_path, capsys):

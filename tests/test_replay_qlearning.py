@@ -12,8 +12,9 @@ import pytest
 
 from mathsynth.environment import EnvConfig, Environment, ProblemRejected
 from mathsynth.parsing import Observation, train_bpe
-from mathsynth.problems import generate
+from mathsynth.problems import SUPPORTED_MODULES, generate
 from mathsynth.qlearning import (
+    HISTORY_CACHE_SIZE,
     QUESTION_CACHE_SIZE,
     EpsilonSchedule,
     QFunction,
@@ -490,8 +491,8 @@ def test_row_major_checkpoints_load_to_the_same_values(tmp_path):
 
 
 def _uncached_features(q, obs):
-    """QFunction.features as it was before the question cache: every string
-    hashed on every call."""
+    """QFunction.features as it was before the caches: every feature's
+    string built and hashed on every call."""
     feats = ["bias", f"len:{len(obs.history)}"]
     if obs.encoded:
         feats.extend(f"tok:{t}" for t in obs.question)
@@ -534,8 +535,39 @@ def test_cached_features_equal_the_uncached_hashes():
         q.features(Observation(f"What is {k} + 1?", (k % 7,), False))
     info = q._question_features.cache_info()
     assert info.maxsize == QUESTION_CACHE_SIZE and info.currsize <= QUESTION_CACHE_SIZE
+    # and after 10,000 distinct histories the history cache holds at most its bound
+    for k in range(10_000):
+        q.features(Observation("What is 1 + 1?", (k % 18, k // 18, 3), False))
+    info = q._history_features.cache_info()
+    assert info.maxsize == HISTORY_CACHE_SIZE and info.currsize <= HISTORY_CACHE_SIZE
     for obs in observations[:20]:
         assert np.array_equal(q.features(obs), _uncached_features(q, obs))
+
+
+def test_features_hash_as_the_reference_on_every_module_and_edge_case():
+    # the crc32-continuation hasher gives the reference's indices, in its
+    # order, on generated questions, on edge cases of splitting and
+    # slicing, and on token tuples
+    q = QFunction(18, 1 << 15, 1)
+    texts = [gp.problem.question for m in SUPPORTED_MODULES for s in (0, 41)
+             for gp in generate(m, 100, s)]
+    texts += ["", "a", "ab", "abc", "word", "two words", "\t", "a\tb\n c   d\n\n",
+              "   lead and trail   ", "héllo wörld ü", "é", "éü", "日本語の問題",
+              "x\u2003y \x1c z"]  # an em space, and an ASCII separator str.split splits at
+    histories = [(), (0,), (17, 3), (5, 5, 5, 1, 0, 12, 9)]
+    for k, text in enumerate(texts):
+        obs = Observation(text, histories[k % len(histories)], False)
+        assert np.array_equal(q.features(obs), _uncached_features(q, obs)), text
+    codec = train_bpe(texts[:300], vocab_size=300, max_len=200)
+    tokens = [tuple(codec.encode(t)) for t in texts[:200]] + [(), (0,), (299, 1, 1, 42)]
+    for k, question in enumerate(tokens):
+        obs = Observation(question, histories[k % len(histories)], True)
+        assert np.array_equal(q.features(obs), _uncached_features(q, obs)), question
+    # another seed and a small width hash the same way
+    small = QFunction(4, 97, 12345)
+    for text in texts[::50]:
+        obs = Observation(text, (1, 2), False)
+        assert np.array_equal(small.features(obs), _uncached_features(small, obs))
 
 
 def test_question_cache_leaves_no_reference_cycle():
@@ -546,6 +578,8 @@ def test_question_cache_leaves_no_reference_cycle():
     try:
         q = QFunction(18, 1 << 10, 0)
         q.features(Observation("What is 1 + 1?", (3,), False))
+        assert q._question_features.cache_info().currsize == 1
+        assert q._history_features.cache_info().currsize == 1
         ref = weakref.ref(q)
         del q
         assert ref() is None
