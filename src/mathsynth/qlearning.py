@@ -28,15 +28,16 @@ zlib.crc32(a + b) == zlib.crc32(b, zlib.crc32(a)), the crc of the prefix
 and a feature kind ("w:", "b:", "g:", "tok:") is taken once, each word,
 bigram, trigram or token is fed into it without building the feature's
 string, and % feature_dim is applied once to the whole int64 array.  The
-trigrams of ASCII text are 3-byte slices of the encoded question; other
-text keeps 3-character slices, each encoded, so a multi-byte character
-hashes as part of its character trigram.
+trigrams are 3-character slices of the question, each encoded, so a
+multi-byte character hashes as part of its character trigram.
 
 The question part of the features stays the same for a whole episode and
-the history part repeats across episodes, so each QFunction keeps both in
-small bounded caches (QUESTION_CACHE_SIZE questions, HISTORY_CACHE_SIZE
-histories); a call that hits both only concatenates the bias, the history
-length, the question part and the rest of the history part.
+the history part repeats across episodes (a greedy policy answers a
+module's questions with a handful of action sequences), so each QFunction
+keeps both in small bounded caches (QUESTION_CACHE_SIZE questions,
+HISTORY_CACHE_SIZE histories); a call that hits both only concatenates the
+bias, the history length, the question part and the rest of the history
+part.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class EpsilonSchedule:
 
 
 QUESTION_CACHE_SIZE = 256  # questions whose hashed features a QFunction keeps
-HISTORY_CACHE_SIZE = 1024  # action histories whose hashed features a QFunction keeps
+HISTORY_CACHE_SIZE = 256  # action histories whose hashed features a QFunction keeps
 
 
 def _question_features(prefix: bytes, feature_dim: int, question, encoded: bool) -> np.ndarray:
@@ -90,12 +91,8 @@ def _question_features(prefix: bytes, feature_dim: int, question, encoded: bool)
         words = [word.encode() for word in question.split()]
         hashes.extend([crc32(x, w) for x in words])
         hashes.extend([crc32(x + b" " + y, b) for x, y in zip(words, words[1:])])
-        if question.isascii():  # one byte per character: slice the bytes
-            data = question.encode()
-            hashes.extend([crc32(data[i : i + 3], g) for i in range(len(data) - 2)])
-        else:
-            n = len(question) - 2
-            hashes.extend([crc32(question[i : i + 3].encode(), g) for i in range(n)])
+        n = len(question) - 2
+        hashes.extend([crc32(question[i : i + 3].encode(), g) for i in range(n)])
     return np.array(hashes, dtype=np.int64) % feature_dim
 
 
