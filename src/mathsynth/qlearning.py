@@ -25,19 +25,19 @@ there; each equals target.q_value bit for bit.
 
 Every feature is hashed as zlib.crc32(prefix + name) % feature_dim.  Since
 zlib.crc32(a + b) == zlib.crc32(b, zlib.crc32(a)), the crc of the prefix
-and a feature kind ("w:", "b:", "g:", "tok:") is taken once, each word,
-bigram, trigram or token is fed into it without building the feature's
-string, and % feature_dim is applied once to the whole int64 array.  The
-trigrams are 3-character slices of the question, each encoded, so a
-multi-byte character hashes as part of its character trigram.
+and a feature kind ("w:", "b:", "g:") is taken once, each word, bigram or
+trigram is fed into it without building the feature's string, and
+% feature_dim is applied once to the whole int64 array.  The trigrams are
+3-character slices of the question, each encoded, so a multi-byte
+character hashes as part of its character trigram.
 
-The question part of the features stays the same for a whole episode and
-the history part repeats across episodes (a greedy policy answers a
-module's questions with a handful of action sequences), so each QFunction
-keeps both in small bounded caches (QUESTION_CACHE_SIZE questions,
-HISTORY_CACHE_SIZE histories); a call that hits both only concatenates the
-bias, the history length, the question part and the rest of the history
-part.
+QFunction.features is the only place that hashes an observation, and it
+takes raw question text only.  The question part stays the same for a
+whole episode and the history part repeats across episodes (a greedy
+policy answers a module's questions with a handful of action sequences),
+so each QFunction keeps both in small bounded caches (QUESTION_CACHE_SIZE
+questions, HISTORY_CACHE_SIZE histories); a call that hits both only
+concatenates, so train() hashes for acting and again for storing.
 """
 
 from __future__ import annotations
@@ -77,22 +77,16 @@ QUESTION_CACHE_SIZE = 256  # questions whose hashed features a QFunction keeps
 HISTORY_CACHE_SIZE = 256  # action histories whose hashed features a QFunction keeps
 
 
-def _question_features(prefix: bytes, feature_dim: int, question, encoded: bool) -> np.ndarray:
-    """Hashed indices of the question's tokens, or of its words, bigrams and
-    character trigrams."""
+def _question_features(prefix: bytes, feature_dim: int, question: str) -> np.ndarray:
+    """Hashed indices of the question's words, bigrams and character
+    trigrams."""
     crc32 = zlib.crc32
     seed = crc32(prefix)
-    hashes = []
-    if encoded:
-        tok = crc32(b"tok:", seed)
-        hashes.extend([crc32(str(t).encode(), tok) for t in question])
-    else:
-        w, b, g = crc32(b"w:", seed), crc32(b"b:", seed), crc32(b"g:", seed)
-        words = [word.encode() for word in question.split()]
-        hashes.extend([crc32(x, w) for x in words])
-        hashes.extend([crc32(x + b" " + y, b) for x, y in zip(words, words[1:])])
-        n = len(question) - 2
-        hashes.extend([crc32(question[i : i + 3].encode(), g) for i in range(n)])
+    w, b, g = crc32(b"w:", seed), crc32(b"b:", seed), crc32(b"g:", seed)
+    words = [word.encode() for word in question.split()]
+    hashes = [crc32(x, w) for x in words]
+    hashes.extend([crc32(x + b" " + y, b) for x, y in zip(words, words[1:])])
+    hashes.extend([crc32(question[i : i + 3].encode(), g) for i in range(len(question) - 2)])
     return np.array(hashes, dtype=np.int64) % feature_dim
 
 
@@ -126,8 +120,8 @@ class QFunction:
         self._frozen: dict = {}  # id(feats) -> (feats, values of every action)
         self._prefix = f"{feature_seed}|".encode()
         self._bias = np.array([zlib.crc32(self._prefix + b"bias") % feature_dim], dtype=np.int64)
-        # (question, encoded) -> hashed question part, and history -> hashed
-        # history part; the cached functions hold no reference to self, so
+        # question -> hashed question part, and history -> hashed history
+        # part; the cached functions hold no reference to self, so
         # dropping a QFunction frees its weights at once rather than at the
         # next garbage collection
         self._question_features = lru_cache(maxsize=QUESTION_CACHE_SIZE)(
@@ -157,8 +151,10 @@ class QFunction:
     def features(self, obs: Observation) -> np.ndarray:
         """Hashed indices of the bias, the history length, the question and
         the action history, in that order."""
+        if obs.encoded:
+            raise ValueError("Q-learning takes raw observations, not BPE-encoded ones")
         length, history = self._history_features(obs.history)
-        question = self._question_features(obs.question, obs.encoded)
+        question = self._question_features(obs.question)
         return np.concatenate((self._bias, length, question, history))
 
     def q_values(self, feats: np.ndarray) -> np.ndarray:
@@ -290,6 +286,11 @@ def load_checkpoint(path, registry: Registry | None = None):
         raise ValueError(f"{path}: checkpoint meta needs config, manifest and env_steps")
     if not isinstance(meta["manifest"], str):
         raise ValueError(f"{path}: checkpoint manifest is not text")
+    if not isinstance(meta["config"], dict):
+        raise ValueError(f"{path}: checkpoint config is not an object")
+    env_steps = meta["env_steps"]
+    if type(env_steps) is not int or env_steps < 0:  # a JSON true loads as a bool
+        raise ValueError(f"{path}: checkpoint env_steps is not a non-negative integer")
     if registry is not None and meta["manifest"] != registry.manifest():
         raise ValueError(f"{path}: checkpoint was trained against a different action-space layout")
     config = TrainConfig.from_mapping(meta["config"])
@@ -306,7 +307,7 @@ def load_checkpoint(path, registry: Registry | None = None):
         raise ValueError(f"{path}: checkpoint weights are not all finite")
     q = QFunction(*shape, config.feature_seed)
     q.weights = weights
-    return q, config, meta["env_steps"]
+    return q, config, env_steps
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +417,8 @@ def _batch_update(q, target, buffer, cfg, nrng, update_count):
         delta = tgt - q.q_value(step.observation, step.action)
         deltas[k] = delta
         np.add.at(q.weights[step.action], step.observation, scale * delta)
-    loss = float(np.mean(deltas**2))
+    with np.errstate(over="ignore"):  # a diverging run raises below, without a warning
+        loss = float(np.mean(deltas**2))
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss at update {update_count}")
     # recompute priorities for the batch and an extra random sample; a step
@@ -498,20 +500,10 @@ def train(
         if metrics_sink is not None:
             metrics_sink(record)
 
-    hashed = {}  # this episode's observation features, by history length
-
-    def features(obs):
-        # acting and storing share one hash of each observation; features
-        # do not depend on the weights, so updates leave them valid
-        t = len(obs.history)
-        if t not in hashed:
-            hashed[t] = q.features(obs)
-        return hashed[t]
-
     def store(steps):
         # step t+1 observes what step t led to
-        feats = [features(steps[0].observation)]
-        feats.extend(features(s.next_observation) for s in steps)
+        feats = [q.features(steps[0].observation)]
+        feats.extend(q.features(s.next_observation) for s in steps)
         buffer.insert(
             [
                 Step(feats[t], s.action, s.reward, feats[t + 1], s.done, s.next_mask)
@@ -524,12 +516,11 @@ def train(
         # a fill episode is uniformly random and draws no epsilon
         if filling or rng.random() < schedule.value(env_steps):
             return random_action(mask, env.n_actions, rng)
-        return q.greedy_action(features(obs), mask)
+        return q.greedy_action(q.features(obs), mask)
 
     while env_steps < config.total_steps:
         filling = env_steps < config.init_steps
         steps = []
-        hashed.clear()
         for step, _ in play(env, rng.choice(train_pool), act):
             steps.append(step)
             env_steps += 1

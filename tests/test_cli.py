@@ -139,22 +139,35 @@ def test_train_rejected_by_its_problem_pools_leaves_no_out_directory(tmp_path, c
     assert not out.exists()
 
 
+DIVERGING_RUN = (
+    "modules = numbers__is_prime\n"
+    "learning_rate = 1e18\n"  # finite, so it passes validation
+    "batch_size = 16\n"
+    "init_steps = 150\n"
+    "total_steps = 400\n"
+    "train_problems_per_module = 40\n"
+    "eval_problems_per_module = 10\n"
+    "feature_dim = 4096\n"
+)
+
+
 def test_train_divergence_is_a_data_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "modules = numbers__is_prime\n"
-        "learning_rate = 1e18\n"  # finite, so it passes validation
-        "batch_size = 16\n"
-        "init_steps = 150\n"
-        "total_steps = 400\n"
-        "train_problems_per_module = 40\n"
-        "eval_problems_per_module = 10\n"
-        "feature_dim = 4096\n"
-    )
+    cfg.write_text(DIVERGING_RUN)
     with np.errstate(over="ignore", invalid="ignore"):
         code, _, err = run(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "run"))
     assert code == 1
     assert err.startswith("error: non-finite loss at update ")
+
+
+def test_train_divergence_prints_only_its_error(tmp_path, capsys):
+    # no np.errstate here: any numpy warning would fail the test, and the
+    # loss's overflow used to print one before the error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DIVERGING_RUN)
+    code, _, err = run(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert err == "error: non-finite loss at update 1\n"
 
 
 def test_generate_writes_dataset_and_sidecar(tmp_path, capsys):
@@ -398,6 +411,31 @@ def test_eval_rejects_incomplete_checkpoints_naming_the_file(tmp_path, capsys, m
     assert "Traceback" not in err and "internal error" not in err
 
 
+def _run_on_bad_checkpoint(tmp_path, capsys, command, weights=None, meta_change=()):
+    """Resume `train` from, or `eval`, a valid checkpoint whose weights are
+    replaced by weights(shape) and whose meta is updated by meta_change;
+    returns (exit code, stdout, stderr, checkpoint path, --out path)."""
+    registry = default_registry()
+    config = TrainConfig(modules=("numbers__is_prime",), feature_dim=1024)
+    good = tmp_path / "good.npz"
+    q = QFunction(registry.n_ops + config.n_inputs, config.feature_dim, config.feature_seed)
+    save_checkpoint(good, TrainResult(q, [], 60, 0, registry, config))
+    with np.load(good) as data:
+        meta = {**json.loads(str(data["meta"])), **dict(meta_change)}
+    path = tmp_path / "bad.npz"
+    w = q.weights if weights is None else weights(q.weights.shape)
+    np.savez_compressed(path, weights=w, meta=json.dumps(meta))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN)
+    out = tmp_path / "run"
+    argv = (
+        ["train", "--config", str(cfg), "--out", str(out), "--checkpoint", str(path)]
+        if command == "train"
+        else ["eval", "--checkpoint", str(path), "--count", "2"]
+    )
+    return (*run(capsys, *argv), path, out)
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize(
     "weights",
@@ -407,27 +445,29 @@ def test_eval_rejects_incomplete_checkpoints_naming_the_file(tmp_path, capsys, m
 def test_checkpoint_weights_must_be_finite_floats(tmp_path, capsys, command, weights):
     # integer weights used to truncate every update of a resumed run, and
     # NaN weights used to be evaluated; both are rejected on loading
-    registry = default_registry()
-    config = TrainConfig(modules=("numbers__is_prime",), feature_dim=1024)
-    good = tmp_path / "good.npz"
-    q = QFunction(registry.n_ops + config.n_inputs, config.feature_dim, config.feature_seed)
-    save_checkpoint(good, TrainResult(q, [], 60, 0, registry, config))
-    with np.load(good) as data:
-        meta = str(data["meta"])
-    path = tmp_path / "bad.npz"
-    np.savez_compressed(path, weights=weights(q.weights.shape), meta=meta)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(TINY_RUN)
-    out = tmp_path / "run"
-    argv = (
-        ["train", "--config", str(cfg), "--out", str(out), "--checkpoint", str(path)]
-        if command == "train"
-        else ["eval", "--checkpoint", str(path), "--count", "2"]
-    )
-    code, stdout, err = run(capsys, *argv)
+    code, stdout, err, path, out = _run_on_bad_checkpoint(tmp_path, capsys, command, weights)
     assert (code, stdout) == (1, "")
     assert err.startswith(f"error: {path}: checkpoint weights are ")
     assert "Traceback" not in err and "internal error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize(
+    "change",
+    [{"config": [1, 2]}, {"config": None}, {"env_steps": "abc"}, {"env_steps": -5},
+     {"env_steps": True}, {"env_steps": 1.5}],
+    ids=["config-list", "config-null", "env-steps-text", "env-steps-negative",
+         "env-steps-bool", "env-steps-float"],
+)
+def test_checkpoint_meta_needs_an_object_config_and_a_step_count(tmp_path, capsys, command, change):
+    # a non-object config used to exit 3 with an AttributeError, and a bad
+    # env_steps to exit 3, to be ignored by eval, or to shorten a resumed run
+    code, stdout, err, path, out = _run_on_bad_checkpoint(
+        tmp_path, capsys, command, meta_change=change
+    )
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {path}: checkpoint {next(iter(change))} is not ")
     assert not out.exists()
 
 

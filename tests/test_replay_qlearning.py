@@ -228,42 +228,6 @@ def test_storing_an_episode_hashes_each_observation_once(monkeypatch):
     assert all(n_calls == n + 1 for n, n_calls in inserted)
 
 
-def test_greedy_acting_and_storing_share_each_observation_hash(monkeypatch):
-    from mathsynth import qlearning
-
-    calls = []
-    stored = []  # steps per inserted episode
-    before_eval = []  # features calls made before each evaluation
-    features, insert, evaluate_ = QFunction.features, ReplayBuffer.insert, qlearning.evaluate
-
-    def counted_features(self, obs):
-        calls.append(obs)
-        return features(self, obs)
-
-    def recorded_insert(self, steps, positive):
-        stored.append(len(steps))
-        return insert(self, steps, positive)
-
-    def recorded_evaluate(*args):
-        before_eval.append(len(calls))
-        return evaluate_(*args)
-
-    monkeypatch.setattr(QFunction, "features", counted_features)
-    monkeypatch.setattr(ReplayBuffer, "insert", recorded_insert)
-    monkeypatch.setattr(qlearning, "evaluate", recorded_evaluate)
-    # epsilon 0 and no fill: every action is greedy and the only evaluation
-    # is the final one, so each observation is hashed once, by acting or by
-    # storing, and none twice
-    result = train(
-        _tiny_config(
-            modules=("numbers__div_remainder",), init_steps=0, total_steps=300,
-            epsilon_start=0.0, epsilon_end=0.0, eval_interval=10_000,
-        )
-    )
-    assert result.env_steps == sum(stored) == 300
-    assert before_eval == [300 + len(stored)]
-
-
 def test_double_dqn_target_decouples_selection_from_evaluation():
     online = QFunction(n_actions=3, feature_dim=64, feature_seed=0)
     target = QFunction(n_actions=3, feature_dim=64, feature_seed=0)
@@ -493,15 +457,12 @@ def test_row_major_checkpoints_load_to_the_same_values(tmp_path):
 def _uncached_features(q, obs):
     """QFunction.features as it was before the caches: every feature's
     string built and hashed on every call."""
+    text = obs.question
+    words = text.split()
     feats = ["bias", f"len:{len(obs.history)}"]
-    if obs.encoded:
-        feats.extend(f"tok:{t}" for t in obs.question)
-    else:
-        text = obs.question
-        words = text.split()
-        feats.extend(f"w:{w}" for w in words)
-        feats.extend(f"b:{a} {b}" for a, b in zip(words, words[1:]))
-        feats.extend(f"g:{text[i:i + 3]}" for i in range(len(text) - 2))
+    feats.extend(f"w:{w}" for w in words)
+    feats.extend(f"b:{a} {b}" for a, b in zip(words, words[1:]))
+    feats.extend(f"g:{text[i:i + 3]}" for i in range(len(text) - 2))
     feats.extend(f"h{t}:{a}" for t, a in enumerate(obs.history))
     if obs.history:
         feats.append(f"last:{obs.history[-1]}")
@@ -512,19 +473,16 @@ def _uncached_features(q, obs):
 def test_cached_features_equal_the_uncached_hashes():
     problems = [gp.problem for m in ("numbers__gcd", "calculus__differentiate")
                 for gp in generate(m, 6, 0)]
-    codec = train_bpe([p.question for p in problems], vocab_size=200, max_len=80)
-    envs = [Environment(), Environment(config=EnvConfig(encoded_observations=True), codec=codec)]
+    env = Environment()
     rng = random.Random(0)
-    observations = []  # every observation of one random episode per problem and env
+    observations = []  # every observation of one random episode per problem
     for problem in problems:
-        for env in envs:
-            policy = lambda obs, mask: random_action(mask, env.n_actions, rng)
-            for step, _ in play(env, problem, policy):
-                observations.extend((step.observation, step.next_observation))
-    assert {o.encoded for o in observations} == {False, True}
+        policy = lambda obs, mask: random_action(mask, env.n_actions, rng)
+        for step, _ in play(env, problem, policy):
+            observations.extend((step.observation, step.next_observation))
     assert len({len(o.history) for o in observations}) > 3
     rng.shuffle(observations)  # questions interleave, histories vary
-    q = QFunction(envs[0].n_actions, 1 << 12, 5)
+    q = QFunction(env.n_actions, 1 << 12, 5)
     for obs in observations * 2:  # the second pass hits the cache
         got = q.features(obs)
         assert got.dtype == np.int64
@@ -546,8 +504,8 @@ def test_cached_features_equal_the_uncached_hashes():
 
 def test_features_hash_as_the_reference_on_every_module_and_edge_case():
     # the crc32-continuation hasher gives the reference's indices, in its
-    # order, on generated questions, on edge cases of splitting and
-    # slicing, and on token tuples
+    # order, on generated questions and on edge cases of splitting and
+    # slicing
     q = QFunction(18, 1 << 15, 1)
     texts = [gp.problem.question for m in SUPPORTED_MODULES for s in (0, 41)
              for gp in generate(m, 100, s)]
@@ -558,16 +516,26 @@ def test_features_hash_as_the_reference_on_every_module_and_edge_case():
     for k, text in enumerate(texts):
         obs = Observation(text, histories[k % len(histories)], False)
         assert np.array_equal(q.features(obs), _uncached_features(q, obs)), text
-    codec = train_bpe(texts[:300], vocab_size=300, max_len=200)
-    tokens = [tuple(codec.encode(t)) for t in texts[:200]] + [(), (0,), (299, 1, 1, 42)]
-    for k, question in enumerate(tokens):
-        obs = Observation(question, histories[k % len(histories)], True)
-        assert np.array_equal(q.features(obs), _uncached_features(q, obs)), question
     # another seed and a small width hash the same way
     small = QFunction(4, 97, 12345)
     for text in texts[::50]:
         obs = Observation(text, (1, 2), False)
         assert np.array_equal(small.features(obs), _uncached_features(small, obs))
+
+
+def test_features_reject_encoded_observations():
+    # training takes raw text, so there is no token-feature branch: an
+    # encoded observation is a ValueError, in features and in evaluate
+    problems = [gp.problem for gp in generate("numbers__gcd", 4, 0)]
+    codec = train_bpe([p.question for p in problems], vocab_size=200, max_len=80)
+    env = Environment(config=EnvConfig(encoded_observations=True), codec=codec)
+    q = QFunction(env.n_actions, 1 << 10, 0)
+    obs = env.reset(problems[0])
+    assert obs.encoded
+    with pytest.raises(ValueError, match="Q-learning takes raw observations"):
+        q.features(obs)
+    with pytest.raises(ValueError, match="Q-learning takes raw observations"):
+        evaluate(q, env, problems)
 
 
 def test_question_cache_leaves_no_reference_cycle():

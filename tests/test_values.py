@@ -10,6 +10,8 @@ from mathsynth.values import (
     EQUATION,
     EXPRESSION,
     FUNCTION,
+    LIST_OF_EQUATION,
+    MAP_VARIABLE_TO_VALUE,
     OBJECT,
     RATIONAL,
     SET_OF_VALUE,
@@ -121,7 +123,8 @@ def test_non_ascii_characters_are_a_parse_error():
             parse_value(text)
 
 
-_KINDS = [VALUE, RATIONAL, VARIABLE, EXPRESSION, EQUATION, FUNCTION, SET_OF_VALUE]
+_KINDS = [VALUE, RATIONAL, VARIABLE, EXPRESSION, EQUATION, FUNCTION, SET_OF_VALUE,
+          LIST_OF_EQUATION, MAP_VARIABLE_TO_VALUE]
 
 
 def _random_expr(rng, depth=0):
@@ -139,8 +142,8 @@ def _random_expr(rng, depth=0):
     return pow_(Sym(rng.choice("abcxyz")), rng.randint(2, 4))
 
 
-def _random_typed(rng) -> TypedValue:
-    kind = rng.choice(_KINDS)
+def _random_typed(rng, kind=None) -> TypedValue:
+    kind = kind or rng.choice(_KINDS)
     if kind == VALUE:
         return value(Fraction(rng.randint(-999, 999), rng.randint(1, 99)))
     if kind == RATIONAL:
@@ -160,6 +163,13 @@ def _random_typed(rng) -> TypedValue:
     if kind == FUNCTION:
         body = _random_expr(rng)
         return TypedValue(FUNCTION, (rng.choice("fgh"), rng.choice("xyz"), body))
+    if kind == LIST_OF_EQUATION:
+        return equation_list([_random_typed(rng, EQUATION) for _ in range(rng.randint(0, 3))])
+    if kind == MAP_VARIABLE_TO_VALUE:
+        return variable_map(
+            {rng.choice("abcxyz"): _random_typed(rng, rng.choice((VALUE, RATIONAL, SET_OF_VALUE)))
+             for _ in range(rng.randint(0, 3))}
+        )
     return value_set([rng.randint(-50, 50) for _ in range(rng.randint(1, 4))])
 
 
@@ -178,8 +188,27 @@ def test_round_trip_without_kind_for_unambiguous_values():
     rng = random.Random(7)
     for _ in range(200):
         v = _random_typed(rng)
-        if v.kind in (EQUATION, FUNCTION):
+        if v.kind in (EQUATION, FUNCTION, LIST_OF_EQUATION, MAP_VARIABLE_TO_VALUE):
             assert parse_value(render(v)).kind == v.kind
+
+
+def test_map_entries_parse_back_by_their_text():
+    # a map entry keeps its text, not its kind: value(3/2) renders as "3/2",
+    # which parses back as a Rational; reward compares text, so it scores
+    # the same
+    m = variable_map({"x": value(Fraction(3, 2)), "y": value(2), "z": value_set([1, 2])})
+    back = parse_value(render(m))
+    assert render(back) == render(m) == "{x: 3/2, y: 2, z: {1, 2}}"
+    assert dict(back.payload) == {"x": rational(3, 2), "y": value(2), "z": value_set([1, 2])}
+    assert back != m
+
+
+@pytest.mark.parametrize(
+    "text", ["[x = 1", "[x + 1]", "{x: 1", "{x 1}", "{x: y}", "{x: a = 1}"]
+)
+def test_malformed_lists_and_maps_are_parse_errors(text):
+    with pytest.raises(MathParseError):
+        parse_value(text)
 
 
 PARSE_DIGEST = "7d356789f6d278a75f2d89f5ef62a61344c03692819af74d8d0e7d2199bd0890"
