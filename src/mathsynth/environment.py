@@ -60,7 +60,7 @@ class EnvConfig:
                 raise KeyError(f"unknown config key: {key}")
             try:
                 values[key] = _coerce(raw, type(defaults[key]))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:  # TypeError: a JSON list or null
                 raise ConfigError(f"{key}: {exc}") from exc
         return cls(**values)
 

@@ -293,7 +293,10 @@ def load_checkpoint(path, registry: Registry | None = None):
         raise ValueError(f"{path}: checkpoint env_steps is not a non-negative integer")
     if registry is not None and meta["manifest"] != registry.manifest():
         raise ValueError(f"{path}: checkpoint was trained against a different action-space layout")
-    config = TrainConfig.from_mapping(meta["config"])
+    try:
+        config = TrainConfig.from_mapping(meta["config"])
+    except (KeyError, ValueError) as exc:  # an unknown key, or a value out of range
+        raise ValueError(f"{path}: checkpoint config: {exc.args[0]}") from None
     # one row per action (each manifest line is an operator), one column
     # per hashed feature
     shape = (len(meta["manifest"].splitlines()) + config.n_inputs, config.feature_dim)

@@ -2,7 +2,10 @@
 hierarchy used for action masking, and canonical text rendering.
 
 All arithmetic is exact (fractions.Fraction); rendering is canonical so
-that answer comparison can be plain string equality.
+that answer comparison can be plain string equality.  Every coefficient is
+a Fraction: Num converts any other number and keeps a Fraction as it is,
+and poly_to_expr builds directly the canonical form that add/mul/pow_
+would give its terms.
 """
 
 from __future__ import annotations
@@ -81,13 +84,17 @@ class TypingError(ValueError):
 # degree (stable within equal degree).  Products are NOT expanded and like
 # terms are NOT collected here; that is simplify's job.
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class Num:
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", Fraction(self.value))
 
 
 @dataclass(frozen=True)
@@ -250,7 +257,7 @@ def as_poly(e):
     if isinstance(e, Num):
         return {(): e.value}
     if isinstance(e, Sym):
-        return {((e.name, 1),): Fraction(1)}
+        return {((e.name, 1),): _ONE}
     if isinstance(e, Add):
         out = {}
         for t in e.terms:
@@ -258,8 +265,8 @@ def as_poly(e):
             if p is None:
                 return None
             for m, c in p.items():
-                out[m] = out.get(m, Fraction(0)) + c
-        return {m: c for m, c in out.items() if c != 0} or {(): Fraction(0)}
+                out[m] = out[m] + c if m in out else c
+        return {m: c for m, c in out.items() if c != 0} or {(): _ZERO}
     if isinstance(e, Mul):
         out = {(): e.coeff}
         for f in e.factors:
@@ -271,10 +278,12 @@ def as_poly(e):
     if isinstance(e, Pow):
         if e.exp < 0:
             return None
+        if isinstance(e.base, Sym) and e.exp:
+            return {((e.base.name, e.exp),): _ONE}
         p = as_poly(e.base)
         if p is None:
             return None
-        out = {(): Fraction(1)}
+        out = {(): _ONE}
         for _ in range(e.exp):
             out = _poly_mul(out, p)
         return out
@@ -284,15 +293,24 @@ def as_poly(e):
 
 
 def _poly_mul(a, b):
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = _mono_mul(m1, m2)
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
-    return {m: c for m, c in out.items() if c != 0} or {(): Fraction(0)}
+    if len(a) == 1 or len(b) == 1:
+        # a product by one term maps distinct monomials to distinct
+        # monomials, so there is nothing to merge
+        out = {_mono_mul(m1, m2): c1 * c2 for m1, c1 in a.items() for m2, c2 in b.items()}
+    else:
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = _mono_mul(m1, m2)
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return {m: c for m, c in out.items() if c != 0} or {(): _ZERO}
 
 
 def _mono_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     exps = dict(m1)
     for v, k in m2:
         exps[v] = exps.get(v, 0) + k
@@ -314,16 +332,23 @@ def _mono_key(m, names):
 
 
 def poly_to_expr(p):
-    """Canonical expression: terms in decreasing graded-lex order."""
+    """Canonical expression: terms in decreasing graded-lex order.  Each term
+    is built in the form add/mul/pow_ would give it: the graded-lex order
+    already puts higher degrees first, and the constant comes last."""
     names = poly_vars(p)
     terms = []
     for m in sorted(p, key=lambda m: _mono_key(m, names)):
         c = p[m]
-        if c == 0 and len(p) > 1:
+        if c == 0:
             continue
-        factors = [pow_(Sym(v), k) for v, k in m]
-        terms.append(mul(Num(c), *factors))
-    return add(*terms) if terms else Num(Fraction(0))
+        if not m:
+            terms.append(Num(c))
+            continue
+        factors = tuple(Sym(v) if k == 1 else Pow(Sym(v), k) for v, k in m)
+        terms.append(factors[0] if c == 1 and len(factors) == 1 else Mul(c, factors))
+    if not terms:
+        return Num(_ZERO)
+    return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
 def poly_derivative(p, var: str):
@@ -335,12 +360,12 @@ def poly_derivative(p, var: str):
             continue
         exps[var] = k - 1
         nm = tuple(sorted((v, e) for v, e in exps.items() if e))
-        out[nm] = out.get(nm, Fraction(0)) + c * k
-    return out or {(): Fraction(0)}
+        out[nm] = out.get(nm, _ZERO) + c * k
+    return out or {(): _ZERO}
 
 
 def poly_eval(p, point: dict) -> Fraction:
-    total = Fraction(0)
+    total = _ZERO
     for m, c in p.items():
         term = c
         for v, k in m:
@@ -354,7 +379,7 @@ def poly_eval(p, point: dict) -> Fraction:
 
 def poly_to_coeffs(p, var: str):
     n = poly_degree(p)
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [_ZERO] * (n + 1)
     for m, c in p.items():
         exps = dict(m)
         coeffs[exps.get(var, 0)] += c
@@ -370,13 +395,13 @@ def coeffs_to_poly(coeffs, var: str):
             continue
         m = ((var, k),) if k else ()
         out[m] = c
-    return out or {(): Fraction(0)}
+    return out or {(): _ZERO}
 
 
 def synthetic_div(coeffs, root: Fraction):
     """Divide by (x - root); returns (quotient, remainder)."""
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    acc = Fraction(0)
+    out = [_ZERO] * (len(coeffs) - 1)
+    acc = _ZERO
     for k in range(len(coeffs) - 1, -1, -1):
         acc = acc * root + coeffs[k]
         if k:
@@ -399,24 +424,31 @@ def _divisors(n: int):
 
 def rational_roots(coeffs):
     """All rational roots (with multiplicity) plus the remaining rootless
-    quotient, for an exact-coefficient univariate polynomial."""
+    quotient, for an exact-coefficient univariate polynomial.
+
+    A candidate p/q is tested in integers: with the coefficients scaled to
+    integers a_i, p/q is a root iff q**n * f(p/q) = sum a_i p**i q**(n-i)
+    is 0, which Horner's rule computes without a Fraction."""
     work = list(coeffs)
     roots = []
     while len(work) > 1 and work[0] == 0:
-        roots.append(Fraction(0))
+        roots.append(_ZERO)
         work = work[1:]
     while len(work) > 1:
         scale = math.lcm(*(c.denominator for c in work))
         ints = [int(c * scale) for c in work]
         a0, an = ints[0], ints[-1]
         # p/q with p | a0 and q | an, in the order q, then p, then + before -
-        candidates = (
-            Fraction(sign * p, q)
-            for q in _divisors(an)
-            for p in _divisors(a0)
-            for sign in (1, -1)
+        found = next(
+            (
+                Fraction(p, q)
+                for q in _divisors(an)
+                for d in _divisors(a0)
+                for p in (d, -d)
+                if _is_int_root(ints, p, q)
+            ),
+            None,
         )
-        found = next((c for c in candidates if _eval_coeffs(work, c) == 0), None)
         if found is None:
             break
         roots.append(found)
@@ -424,11 +456,12 @@ def rational_roots(coeffs):
     return roots, work
 
 
-def _eval_coeffs(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _is_int_root(ints, p: int, q: int) -> bool:
+    acc, q_power = 0, 1
+    for a in reversed(ints):
+        acc = acc * p + a * q_power
+        q_power *= q
+    return acc == 0
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,26 @@ def test_checkpoint_meta_needs_an_object_config_and_a_step_count(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize(
+    "config, message",
+    [({"seed": -1}, "seed must not be negative"),
+     ({"nosuch": 1}, "unknown config key: nosuch"),
+     ({"seed": None}, "seed: int() argument must be")],
+    ids=["negative-seed", "unknown-key", "null-seed"],
+)
+def test_checkpoint_config_errors_name_the_file(tmp_path, capsys, command, config, message):
+    # a stored config that from_mapping rejects used to exit 1 without the
+    # path (a null value exited 3 with a TypeError)
+    stored = {"modules": "numbers__is_prime", "feature_dim": 1024, **config}
+    code, stdout, err, path, out = _run_on_bad_checkpoint(
+        tmp_path, capsys, command, meta_change={"config": stored}
+    )
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {path}: checkpoint config: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["episode", "mine"])
 def test_unknown_registry_operator_is_a_data_error(tmp_path, capsys, command):
     log = tmp_path / "empty.jsonl"

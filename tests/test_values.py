@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 from mathsynth.problems import SUPPORTED_MODULES, generate
 from mathsynth.values import (
     ABSENT,
+    Add,
+    Call,
     EQUATION,
     EXPRESSION,
     FUNCTION,
@@ -18,17 +21,34 @@ from mathsynth.values import (
     VALUE,
     VARIABLE,
     MathParseError,
+    Mul,
+    Num,
+    Pow,
+    Sym,
     TypedValue,
     TypingError,
+    _mono_mul,
+    _poly_mul,
+    add,
+    as_poly,
     boolean,
+    coeffs_to_poly,
     equation_list,
     expression,
     is_subtype,
+    mul,
     parse_expression,
     parse_value,
+    poly_derivative,
+    poly_to_coeffs,
+    poly_to_expr,
+    poly_vars,
+    pow_,
     rational,
+    rational_roots,
     render,
     render_expr,
+    synthetic_div,
     value,
     value_set,
     variable,
@@ -128,8 +148,6 @@ _KINDS = [VALUE, RATIONAL, VARIABLE, EXPRESSION, EQUATION, FUNCTION, SET_OF_VALU
 
 
 def _random_expr(rng, depth=0):
-    from mathsynth.values import Num, Sym, add, mul, pow_
-
     roll = rng.random()
     if depth >= 2 or roll < 0.3:
         if rng.random() < 0.5:
@@ -153,8 +171,6 @@ def _random_typed(rng, kind=None) -> TypedValue:
         return variable(rng.choice("abcxyz"))
     if kind == EXPRESSION:
         e = _random_expr(rng)
-        from mathsynth.values import Num, Sym
-
         while isinstance(e, (Num, Sym)):  # keep the kind honest
             e = _random_expr(rng)
         return expression(e)
@@ -255,3 +271,240 @@ def test_equal_values_built_separately_hash_equal():
         assert hash(a) == hash(a)  # the kept hash is the computed one
         assert {a: 1}[b] == 1
     assert len(set(build()) | set(build())) == len(build())
+
+
+# ---------------------------------------------------------------------------
+# The polynomial layer against a frozen reference: the straightforward
+# implementation that builds every monomial by multiplication, merges every
+# product, sends every term of poly_to_expr through mul/pow_/add and tests
+# every root candidate in Fraction arithmetic.  The layer must give the same
+# dicts (in the same order), the same trees and a Fraction for every
+# coefficient.
+
+
+def _ref_as_poly(e):
+    if isinstance(e, Num):
+        return {(): e.value}
+    if isinstance(e, Sym):
+        return {((e.name, 1),): Fraction(1)}
+    if isinstance(e, Add):
+        out = {}
+        for t in e.terms:
+            p = _ref_as_poly(t)
+            if p is None:
+                return None
+            for m, c in p.items():
+                out[m] = out.get(m, Fraction(0)) + c
+        return {m: c for m, c in out.items() if c != 0} or {(): Fraction(0)}
+    if isinstance(e, Mul):
+        out = {(): e.coeff}
+        for f in e.factors:
+            p = _ref_as_poly(f)
+            if p is None:
+                return None
+            out = _ref_poly_mul(out, p)
+        return out
+    if isinstance(e, Pow):
+        if e.exp < 0:
+            return None
+        p = _ref_as_poly(e.base)
+        if p is None:
+            return None
+        out = {(): Fraction(1)}
+        for _ in range(e.exp):
+            out = _ref_poly_mul(out, p)
+        return out
+    if isinstance(e, Call):
+        return None
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _ref_poly_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _ref_mono_mul(m1, m2)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0} or {(): Fraction(0)}
+
+
+def _ref_mono_mul(m1, m2):
+    exps = dict(m1)
+    for v, k in m2:
+        exps[v] = exps.get(v, 0) + k
+    return tuple(sorted((v, k) for v, k in exps.items() if k))
+
+
+def _ref_poly_to_expr(p):
+    names = poly_vars(p)
+
+    def key(m):
+        exps = dict(m)
+        vec = tuple(exps.get(v, 0) for v in names)
+        return (-sum(vec), tuple(-x for x in vec))
+
+    terms = []
+    for m in sorted(p, key=key):
+        c = p[m]
+        if c == 0 and len(p) > 1:
+            continue
+        terms.append(mul(Num(c), *(pow_(Sym(v), k) for v, k in m)))
+    return add(*terms) if terms else Num(Fraction(0))
+
+
+def _ref_rational_roots(coeffs):
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    def eval_coeffs(coeffs, x):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    work = list(coeffs)
+    roots = []
+    while len(work) > 1 and work[0] == 0:
+        roots.append(Fraction(0))
+        work = work[1:]
+    while len(work) > 1:
+        scale = math.lcm(*(c.denominator for c in work))
+        ints = [int(c * scale) for c in work]
+        a0, an = ints[0], ints[-1]
+        candidates = (
+            Fraction(sign * p, q) for q in divisors(an) for p in divisors(a0) for sign in (1, -1)
+        )
+        found = next((c for c in candidates if eval_coeffs(work, c) == 0), None)
+        if found is None:
+            break
+        roots.append(found)
+        work, _ = synthetic_div(work, found)
+    return roots, work
+
+
+def _fractions_in(x):
+    """Every number held in a poly dict, coefficient list or expression tree."""
+    if x is None or isinstance(x, Sym):
+        return []
+    if isinstance(x, dict):
+        return list(x.values())
+    if isinstance(x, (list, tuple)):
+        return [f for item in x for f in _fractions_in(item)]
+    if isinstance(x, Num):
+        return [x.value]
+    if isinstance(x, Mul):
+        return [x.coeff] + _fractions_in(x.factors)
+    if isinstance(x, Add):
+        return _fractions_in(x.terms)
+    if isinstance(x, Pow):
+        return _fractions_in(x.base)
+    if isinstance(x, Call):
+        return _fractions_in(x.args)
+    return [x]
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert repr(got) == repr(want)  # dict order, tree shape and number types
+    assert all(type(c) is Fraction for c in _fractions_in(got))
+
+
+def _random_poly_expr(rng, depth=0):
+    roll = rng.random()
+    if depth >= 3 or roll < 0.25:
+        if rng.random() < 0.4:
+            return Num(Fraction(rng.randint(-12, 12), rng.choice((1, 1, 1, 2, 3, 7))))
+        return Sym(rng.choice("abxy"))
+    if roll < 0.5:
+        terms = [_random_poly_expr(rng, depth + 1) for _ in range(rng.randint(2, 3))]
+        if rng.random() < 0.2:  # a sum that cancels in part or in full
+            terms.append(mul(Num(-1), rng.choice(terms)))
+        return add(*terms)
+    if roll < 0.75:
+        factors = [_random_poly_expr(rng, depth + 1) for _ in range(rng.randint(1, 3))]
+        return mul(Num(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 5)))), *factors)
+    if roll < 0.93:
+        base = _random_poly_expr(rng, depth + 1)
+        k = rng.randint(2, 3)
+        # pow_ folds a power of a power, which a negative exponent rejects
+        return Pow(base, k) if isinstance(base, Pow) else pow_(base, k)
+    if rng.random() < 0.5:
+        return Call(rng.choice("fg"), (_random_poly_expr(rng, depth + 1),))
+    return Pow(Sym(rng.choice("abxy")), -rng.randint(1, 3))  # not a polynomial
+
+
+def test_poly_layer_matches_the_reference():
+    rng = random.Random(2024)
+    polys = []
+    n_none = 0
+    for _ in range(3000):
+        e = _random_poly_expr(rng)
+        p = as_poly(e)
+        _assert_same(p, _ref_as_poly(e))
+        if p is None:
+            n_none += 1
+            continue
+        polys.append(p)
+        _assert_same(poly_to_expr(p), _ref_poly_to_expr(p))
+        for v in "abxy":
+            d = poly_derivative(p, v)
+            _assert_same(poly_to_expr(d), _ref_poly_to_expr(d))
+    assert 100 < n_none < 1500
+    assert sum(p == {(): 0} for p in polys) > 50  # zero polynomials occur
+    for _ in range(2000):
+        a, b = rng.choice(polys), rng.choice(polys)
+        _assert_same(_poly_mul(a, b), _ref_poly_mul(a, b))
+        m1, m2 = rng.choice(list(a)), rng.choice(list(b))
+        assert _mono_mul(m1, m2) == _ref_mono_mul(m1, m2)
+
+
+def test_poly_layer_examples():
+    assert as_poly(Pow(Sym("h"), 4)) == {(("h", 4),): Fraction(1)}
+    assert as_poly(Sym("h")) == {(("h", 1),): Fraction(1)}
+    p = {(("x", 2), ("y", 1)): Fraction(3), (("x", 1),): Fraction(1), (): Fraction(-2)}
+    assert poly_to_expr(p) == Add(
+        (Mul(Fraction(3), (Pow(Sym("x"), 2), Sym("y"))), Sym("x"), Num(Fraction(-2)))
+    )
+    assert poly_to_expr({(): Fraction(0)}) == Num(Fraction(0))
+    assert poly_to_expr({(("x", 1),): Fraction(0)}) == Num(Fraction(0))
+    assert poly_to_expr({(("x", 1),): Fraction(1, 2)}) == Mul(Fraction(1, 2), (Sym("x"),))
+
+
+def test_num_keeps_a_fraction_and_converts_anything_else():
+    f = Fraction(3, 4)
+    assert Num(f).value is f
+    n = Num(2)
+    assert type(n.value) is Fraction and n.value == 2
+
+
+def test_rational_roots_match_the_reference():
+    rng = random.Random(99)
+    found_repeated = 0
+    for _ in range(1500):
+        poly = {(): Fraction(rng.choice((1, -1, 2, 3, -5)), rng.choice((1, 1, 2, 3)))}
+        roots = [
+            Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(rng.randint(0, 4))
+        ]
+        if roots and rng.random() < 0.3:
+            roots.append(rng.choice(roots))  # a repeated root
+        for r in roots:
+            poly = _poly_mul(poly, {(("x", 1),): Fraction(1), (): -r})
+        if rng.random() < 0.4:  # one more factor, mostly without rational roots
+            extra = [
+                Fraction(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(rng.randint(2, 4))
+            ]
+            poly = _poly_mul(poly, coeffs_to_poly(extra, "x"))
+        coeffs = poly_to_coeffs(poly, "x")
+        if rng.random() < 0.2:  # leading zeros: zero low-order coefficients
+            coeffs = [Fraction(0)] * rng.randint(1, 2) + coeffs
+        if rng.random() < 0.1:  # a zero top coefficient
+            coeffs = coeffs + [Fraction(0)]
+        got = rational_roots(coeffs)
+        _assert_same(got, _ref_rational_roots(coeffs))
+        found_repeated += len(got[0]) > len(set(got[0]))
+    assert found_repeated > 100
+    for _ in range(500):  # arbitrary coefficient lists, mostly without roots
+        coeffs = [
+            Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(rng.randint(1, 6))
+        ]
+        _assert_same(rational_roots(coeffs), _ref_rational_roots(coeffs))
