@@ -1,16 +1,20 @@
+import hashlib
 import logging
 
 import pytest
 
 from mathsynth.environment import Environment
+from mathsynth.operators import full_registry
 from mathsynth.problems import (
     SUPPORTED_MODULES,
     DatasetFormatError,
+    differentiate_wrt_problems,
     generate,
     load_dataset_file,
     split,
     write_dataset_file,
 )
+from mathsynth.values import render
 
 
 def test_unsupported_module_errors():
@@ -42,6 +46,47 @@ def test_gcd_sample_shape():
     assert "common" in gp.problem.question
     assert gp.truth_graph[0] == 7  # gcd's action index
     assert gp.problem.module == "numbers__gcd"
+
+
+GENERATOR_DIGEST = "64def62fad0382d659eabd92581532ed40892c2037e4f75d78342ddb78dfb892"
+
+
+def pinned_problems(registry):
+    """Every generated problem the digest covers: 300 per module at three
+    seeds, and 100 differentiate_wrt problems per order 1-3, univariate and
+    multivariate."""
+    for module in SUPPORTED_MODULES:
+        for seed in (0, 1, 41):
+            yield from generate(module, 300, seed)
+    for order in (1, 2, 3):
+        for multivariate in (False, True):
+            yield from differentiate_wrt_problems(100, 7, registry, order, multivariate)
+
+
+def test_generated_problems_are_pinned():
+    # question, answer, every input (kind and expression tree), truth graph
+    # and difficulty of each generated problem, and the factor operator's
+    # output on each factor-phrased one; the digest guards refactors of the
+    # generators and of the canonical forms they share with the operators
+    registry = full_registry()
+    factor = registry.get("factor")
+    digest = hashlib.sha256()
+    n_problems = n_factored = 0
+    for gp in pinned_problems(registry):
+        p = gp.problem
+        fields = [p.module, p.question, p.answer]
+        fields += [f"{v.kind}:{v.payload!r}" for v in p.inputs]
+        fields += [repr(gp.truth_graph), repr(sorted(gp.difficulty.items()))]
+        if p.question.startswith("Factor"):
+            out = factor.eval(*p.inputs)
+            assert render(out) == p.answer
+            fields.append(f"{out.kind}:{out.payload!r}")
+            n_factored += 1
+        digest.update("|".join(fields).encode() + b"\n")
+        n_problems += 1
+    assert n_problems == 10500
+    assert n_factored == 435
+    assert digest.hexdigest() == GENERATOR_DIGEST
 
 
 def test_dataset_file_round_trip(tmp_path):
