@@ -163,8 +163,6 @@ def deserialize(text: str, registry: Registry) -> ComputeGraph:
     for action, children in queue:
         graph.add_node(action)
         queue.extend(children)
-    if not graph.is_complete:
-        raise MathParseError("serialized graph is incomplete", len(text))
     return graph
 
 

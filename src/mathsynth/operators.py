@@ -36,9 +36,9 @@ from .values import (
     as_expr,
     as_poly,
     boolean,
-    coeffs_to_poly,
     equation,
     equation_list,
+    factored_form,
     free_symbols,
     function,
     function_head,
@@ -50,7 +50,6 @@ from .values import (
     poly_to_coeffs,
     poly_to_expr,
     poly_vars,
-    pow_,
     rational_roots,
     replace_subtree,
     typed_from_expr,
@@ -234,21 +233,23 @@ def _op_append_to_empty_list(eq):
 
 
 def _primitive(coeffs):
-    """(content, primitive integer coefficients with positive lead)."""
+    """Primitive integer coefficients with positive lead, as Fractions."""
     lcm_den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm_den) for c in coeffs]
     g = math.gcd(*ints) or 1
     if ints[-1] < 0:
         g = -g
-    ints = [c // g for c in ints]
-    return Fraction(g, lcm_den), ints
+    return [Fraction(c // g) for c in ints]
+
+
+def _poly_arg(v):
+    """Polynomial dict of an Expression-kinded argument, else None."""
+    e = as_expr(v)
+    return None if e is None else as_poly(e)
 
 
 def _op_factor(inpt):
-    e = as_expr(inpt)
-    if e is None:
-        return ABSENT
-    p = as_poly(e)
+    p = _poly_arg(inpt)
     if p is None:
         return ABSENT
     names = poly_vars(p)
@@ -259,34 +260,15 @@ def _op_factor(inpt):
     var = names[0]
     coeffs = poly_to_coeffs(p, var)
     roots, remainder = rational_roots(coeffs)
-    factors = []  # coefficient lists, ascending degree
-    for r in sorted(roots):
-        factors.append([Fraction(-r.numerator), Fraction(r.denominator)])
+    factors = [[Fraction(-r.numerator), Fraction(r.denominator)] for r in roots]
     if len(remainder) > 1:
-        _, prim = _primitive(remainder)
-        factors.append([Fraction(c) for c in prim])
-    factors.sort(key=lambda f: (len(f), tuple(f)))
-    lead = Fraction(1)
-    for f in factors:
-        lead *= f[-1]
-    content = coeffs[-1] / lead
-    grouped = []
-    for f in factors:
-        if grouped and grouped[-1][0] == f:
-            grouped[-1][1] += 1
-        else:
-            grouped.append([f, 1])
-    parts = [
-        pow_(poly_to_expr(coeffs_to_poly(f, var)), k) for f, k in grouped
-    ]
-    return typed_from_expr(mul(Num(content), *parts))
+        factors.append(_primitive(remainder))
+    content = coeffs[-1] / math.prod(f[-1] for f in factors)
+    return typed_from_expr(factored_form(content, factors, var))
 
 
 def _op_differentiate(expr):
-    e = as_expr(expr)
-    if e is None:
-        return ABSENT
-    p = as_poly(e)
+    p = _poly_arg(expr)
     if p is None:
         return ABSENT
     names = poly_vars(p)
@@ -370,19 +352,10 @@ def _op_not(x):
 
 
 def _op_differentiate_wrt(expr, var):
-    e = as_expr(expr)
-    if e is None:
+    p, v = _poly_arg(expr), as_expr(var)
+    if p is None or not isinstance(v, Sym):
         return ABSENT
-    if var.kind == VARIABLE:
-        name = var.payload
-    elif var.kind == EXPRESSION and isinstance(var.payload, Sym):
-        name = var.payload.name
-    else:
-        return ABSENT
-    p = as_poly(e)
-    if p is None:
-        return ABSENT
-    return typed_from_expr(poly_to_expr(poly_derivative(p, name)))
+    return typed_from_expr(poly_to_expr(poly_derivative(p, v.name)))
 
 
 def _op_make_equation(e1, e2):

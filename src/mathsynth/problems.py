@@ -4,8 +4,11 @@ ground-truth action sequences) and a loader for dataset-format text files
 
 Generators are deterministic given (module, seed, index).  Truth graphs are
 expressed against the default 15-operator registry; answers are computed by
-module-local arithmetic, independent of the operator library, and rendered
-through the shared canonical renderer.
+module-local arithmetic, independent of the operator library (the roots a
+generator drew, never a root finder), and written in the shared canonical
+forms: render, and values.factored_form for factored answers.  The loader
+skips only entries whose inputs cannot be extracted; Environment.check
+decides whether a problem's input count fits.
 """
 
 from __future__ import annotations
@@ -22,15 +25,15 @@ from .values import (
     Call,
     Num,
     Sym,
-    _poly_mul,
     add,
+    as_poly,
     coeffs_to_poly,
     equation,
     expression,
+    factored_form,
     function,
     mul,
     poly_to_expr,
-    pow_,
     rational,
     render,
     render_expr,
@@ -150,7 +153,8 @@ def _gen_differentiate(rng):
     deg = rng.randint(max(order, 2), 5)
     coeffs = [rng.randint(-99, 99) for _ in range(deg)] + [_nonzero(rng, -99, 99)]
     var = rng.choice(_LETTERS)
-    poly_text = render_expr(_poly_expr(coeffs, var))
+    poly = _poly_expr(coeffs, var)
+    poly_text = render_expr(poly)
     derived = list(coeffs)
     for _ in range(order):
         derived = [derived[i] * i for i in range(1, len(derived))] or [0]
@@ -159,16 +163,13 @@ def _gen_differentiate(rng):
     style = rng.randrange(3)
     if style == 0:
         q = f"What is the {word} derivative of {poly_text}?"
-        inputs = [expression(_poly_expr(coeffs, var))]
     elif style == 1:
         q = f"Find the {word} derivative of {poly_text} wrt {var}."
-        inputs = [expression(_poly_expr(coeffs, var)), variable(var)]
+    elif order == 1:
+        q = f"Differentiate {poly_text} with respect to {var}."
     else:
-        if order == 1:
-            q = f"Differentiate {poly_text} with respect to {var}."
-        else:
-            q = f"What is the {word} derivative of {poly_text} wrt {var}?"
-        inputs = [expression(_poly_expr(coeffs, var)), variable(var)]
+        q = f"What is the {word} derivative of {poly_text} wrt {var}?"
+    inputs = [expression(poly), variable(var)] if style else [expression(poly)]
     truth = tuple([_OP["differentiate"]] * order + [_in(0)])
     return q, answer, inputs, truth, {"degree": deg, "order": order}
 
@@ -297,20 +298,17 @@ def _root_pool(rng, with_fractions: bool):
 
 
 def _gen_polynomial_roots(rng):
-    if rng.random() < 0.5:
+    solve = rng.random() < 0.5
+    var = rng.choice(_LETTERS)
+    if solve:
         # solve a rational-rooted polynomial equation
-        var = rng.choice(_LETTERS)
         n_roots = rng.choice([2, 2, 2, 3])
         roots = [_root_pool(rng, True) for _ in range(n_roots)]
         lead = rng.choice([Fraction(1), Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
-        poly = {(): Fraction(1)}
-        for r in roots:
-            poly = _poly_mul(poly, {((var, 1),): Fraction(1), (): -r})
-        poly = {m: lead * c for m, c in poly.items()}
-        poly_text = render_expr(poly_to_expr(poly))
-        distinct = sorted(set(roots))
-        answer = ", ".join(map(str, distinct))
-        eq = equation(poly_to_expr(poly), Num(Fraction(0)))
+        poly = poly_to_expr(as_poly(factored_form(lead, [[-r, Fraction(1)] for r in roots], var)))
+        poly_text = render_expr(poly)
+        answer = ", ".join(map(str, sorted(set(roots))))
+        eq = equation(poly, Num(Fraction(0)))
         style = rng.randrange(3)
         if style == 0:
             q = f"Solve {poly_text} = 0 for {var}."
@@ -323,33 +321,17 @@ def _gen_polynomial_roots(rng):
             inputs, truth = [eq, variable(var)], _SOLVE_TRUTH_EQ_FIRST
         return q, answer, inputs, truth, {"roots": len(roots)}
     # factorization phrasing
-    var = rng.choice(_LETTERS)
     n_roots = rng.choice([1, 2, 2])
     factors = []
     for _ in range(n_roots):
         r = _root_pool(rng, True)
         factors.append([Fraction(-r.numerator), Fraction(r.denominator)])
     content = Fraction(rng.choice([1, 1, 1, 2, 3]))
-    factors.sort(key=lambda f: (len(f), tuple(f)))
-    poly = {(): content}
-    for f in factors:
-        poly = _poly_mul(poly, coeffs_to_poly(f, var))
-    poly_text = render_expr(poly_to_expr(poly))
-    grouped = []
-    for f in factors:
-        if grouped and grouped[-1][0] == f:
-            grouped[-1][1] += 1
-        else:
-            grouped.append([f, 1])
-    answer = render_expr(
-        mul(
-            Num(content),
-            *(pow_(poly_to_expr(coeffs_to_poly(f, var)), k) for f, k in grouped),
-        )
-    )
+    form = factored_form(content, factors, var)
+    poly = poly_to_expr(as_poly(form))
+    poly_text = render_expr(poly)
     q = rng.choice([f"Factor {poly_text}.", f"Factorize {poly_text}."])
-    inputs = [expression(poly_to_expr(poly))]
-    return q, answer, inputs, (_OP["factor"], _in(0)), {"roots": n_roots}
+    return q, render_expr(form), [expression(poly)], (_OP["factor"], _in(0)), {"roots": n_roots}
 
 
 def _gen_linear_2d(rng):
@@ -478,10 +460,11 @@ class DatasetFormatError(ValueError):
     pass
 
 
-def load_dataset_file(path, module: str | None = None, n_inputs: int = 3) -> list:
-    """Problems from a file of alternating question/answer lines; entries
-    that fail input extraction or exceed n_inputs are skipped (counted in a
-    log warning)."""
+def load_dataset_file(path, module: str | None = None) -> list:
+    """Problems from a file of alternating question/answer lines.  Only
+    entries whose inputs cannot be extracted are skipped (counted in a log
+    warning); whether an environment can load a problem, with its number
+    of inputs, is for Environment.check to decide."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if len(lines) % 2:
@@ -493,9 +476,6 @@ def load_dataset_file(path, module: str | None = None, n_inputs: int = 3) -> lis
         try:
             inputs = extract_inputs(question)
         except ExtractionError:
-            skipped += 1
-            continue
-        if len(inputs) > n_inputs:
             skipped += 1
             continue
         problems.append(Problem(question, answer, tuple(inputs), label))

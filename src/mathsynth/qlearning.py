@@ -112,7 +112,7 @@ class QFunction:
     at each feature array it has scored (frozen_values) until sync()
     copies new weights in."""
 
-    def __init__(self, n_actions: int, feature_dim: int = 1 << 15, feature_seed: int = 1):
+    def __init__(self, n_actions: int, feature_dim: int, feature_seed: int):
         self.n_actions = n_actions
         self.feature_dim = feature_dim
         self.feature_seed = feature_seed
@@ -328,9 +328,9 @@ class TrainConfig(EnvConfig):
     learning_rate: float = 5e-5
     batch_size: int = 512
     target_sync: int = 500
-    epsilon_start: float = 0.4
-    epsilon_end: float = 0.05
-    epsilon_decrement: float = 2.5e-5
+    epsilon_start: float = EpsilonSchedule.start
+    epsilon_end: float = EpsilonSchedule.end
+    epsilon_decrement: float = EpsilonSchedule.decrement_per_step
     buffer_capacity: int = 25000  # steps per store
     init_steps: int = 50000  # env-step budget for random-policy buffer fill
     total_steps: int = 50000  # total env steps, initialization included

@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 # ---------------------------------------------------------------------------
 # Type tags and hierarchy
@@ -396,6 +397,18 @@ def coeffs_to_poly(coeffs, var: str):
         m = ((var, k),) if k else ()
         out[m] = c
     return out or {(): _ZERO}
+
+
+def factored_form(content, factors, var: str):
+    """Canonical factored form content * f1**k1 * f2**k2 * ...: the factors
+    (ascending Fraction coefficient lists) in (degree, coefficients) order,
+    equal factors joined into one power."""
+    ordered = sorted(factors, key=lambda f: (len(f), tuple(f)))
+    powers = (
+        pow_(poly_to_expr(coeffs_to_poly(f, var)), len(list(group)))
+        for f, group in groupby(ordered)
+    )
+    return mul(Num(content), *powers)
 
 
 def synthetic_div(coeffs, root: Fraction):

@@ -280,6 +280,22 @@ def test_episode_from_dataset_file(tmp_path, capsys):
     assert code == 1 and "out of range" in err
 
 
+def test_episode_from_dataset_file_rejects_too_many_inputs(tmp_path, capsys):
+    # the first entry has four inputs; the loader keeps it, and the
+    # environment rejects it instead of the episode playing the second entry
+    path = tmp_path / "four.txt"
+    path.write_text(
+        "Solve 2*a + 3*b = 4, 5*a - b = 6, a + c = 1 for a.\n22/17\n"
+        "Calculate the remainder when 10 is divided by 3.\n1\n"
+    )
+    code, out, err = run(
+        capsys, "episode", "--file", str(path), "--index", "0", "--actions", "6,15,16"
+    )
+    assert code == 1
+    assert "has 4 inputs but n_inputs is 3" in err
+    assert "remainder" not in out
+
+
 def test_usage_error_exit_code(tmp_path):
     for argv in (
         ["bogus-command"],

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -150,6 +151,29 @@ def test_deserialize_rejects_malformed_text():
         deserialize("bogus_op(Value('1'))", REG)
     with pytest.raises(MathParseError):
         deserialize("gcd(Value('4'),Value('6'))x", REG)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("mod", "expected '('"),
+        ("mod(Value('1')Value('2'))", "expected ','"),
+        ("not_op(Boolean('True')", "expected ')'"),
+        ("mod(Value(1),Value('2'))", "expected a quoted value"),
+        ("not_op(Boolean('True)", "unterminated quoted value"),
+        ("mod(Value('1'", "expected ')'"),
+    ],
+)
+def test_deserialize_names_the_malformed_part(text, message):
+    with pytest.raises(MathParseError, match=re.escape(message)):
+        deserialize(text, REG)
+
+
+def test_add_node_on_a_complete_graph():
+    g = ComputeGraph().add_node(REG.get("is_prime")).add_node(value(7))
+    assert g.is_complete
+    with pytest.raises(StructuralError, match="already complete"):
+        g.add_node(value(1))
 
 
 def test_deserialize_rejects_too_many_nodes():

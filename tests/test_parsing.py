@@ -77,6 +77,23 @@ def test_rational_inputs():
     assert kinds_and_texts(got) == [("Rational", "-19/36"), ("Rational", "-59/12")]
 
 
+@pytest.mark.parametrize(
+    "question, expected",
+    [
+        # a '-', '*' or '/' with no operand after it ends the fragment
+        ("What is 3 - ?", [("Value", "3")]),
+        ("What is 4 * ?", [("Value", "4")]),
+        ("What is 6 / ?", [("Value", "6")]),
+        # a call head that does not parse is skipped
+        ("Let f() be 7.", [("Value", "7")]),
+        # an '=' with no right-hand side leaves the left-hand side alone
+        ("Suppose 3 = ?, what is 4?", [("Value", "3"), ("Value", "4")]),
+    ],
+)
+def test_extraction_backs_off_an_operator_without_an_operand(question, expected):
+    assert kinds_and_texts(extract_inputs(question)) == expected
+
+
 def test_unrecognized_phrasing_errors_with_span():
     with pytest.raises(ExtractionError) as exc:
         extract_inputs("What is seven halves of a day in minutes?")

@@ -3,7 +3,7 @@ import logging
 
 import pytest
 
-from mathsynth.environment import Environment
+from mathsynth.environment import EnvConfig, Environment, ProblemRejected
 from mathsynth.operators import full_registry
 from mathsynth.problems import (
     SUPPORTED_MODULES,
@@ -118,16 +118,18 @@ def test_loader_skips_and_counts(tmp_path, caplog):
     assert "skipped 1 of 2" in caplog.text
 
 
-def test_loader_skips_problems_with_too_many_inputs(tmp_path, caplog):
+def test_loader_leaves_the_input_count_to_the_environment(tmp_path):
     q = (
         "Let h(t) = t**3 + t**2 + 1. Let v(d) = 6*d**3 + 24*d**2 + 4. "
         "Let w(j) = 4*h(j) - v(j). What is the third derivative of w(x) wrt x?"
     )
     path = tmp_path / "five_inputs.txt"
     path.write_text(f"{q}\n24*x - 6\n")
-    with caplog.at_level(logging.WARNING):
-        assert load_dataset_file(path, n_inputs=3) == []
-    assert load_dataset_file(path, n_inputs=5)  # admissible with a larger cap
+    [problem] = load_dataset_file(path)
+    assert len(problem.inputs) == 5
+    with pytest.raises(ProblemRejected, match="has 5 inputs but n_inputs is 3"):
+        Environment().check(problem)
+    Environment(config=EnvConfig(n_inputs=5)).check(problem)
 
 
 def test_loader_survives_a_non_ascii_digit(tmp_path):
