@@ -35,6 +35,7 @@ from mathsynth.values import (
     coeffs_to_poly,
     equation_list,
     expression,
+    factored_form,
     is_subtype,
     mul,
     parse_expression,
@@ -85,6 +86,17 @@ def test_render_examples():
 def test_render_polynomial_order_and_spacing():
     assert render_expr(parse_expression("2548 + 6*k**2 - 101*k")) == "6*k**2 - 101*k + 2548"
     assert render_expr(parse_expression("-3*h**2/2 - 24*h - 45/2")) == "-3*h**2/2 - 24*h - 45/2"
+
+
+def test_factored_form_orders_and_joins_its_factors():
+    # whatever order the factors come in: linear before quadratic, smaller
+    # coefficient lists first, equal factors as one power
+    one, two = Fraction(1), Fraction(2)
+    factors = [[one, 0, one], [-one, one], [one, one], [-one, one], [-one, two]]
+    for order in (factors, factors[::-1]):
+        form = factored_form(Fraction(3), order, "z")
+        assert render_expr(form) == "3*(z - 1)**2*(2*z - 1)*(z + 1)*(z**2 + 1)"
+    assert render_expr(factored_form(Fraction(-1, 2), [[0, one]], "z")) == "-z/2"
 
 
 def test_parse_value_examples():
