@@ -66,6 +66,10 @@ class EnvConfig:
 
 
 def _coerce(raw, typ):
+    # a bool is an int and an int is never a float's truncation, but neither
+    # may stand for a number of another type
+    if (isinstance(raw, bool) and typ is not bool) or (isinstance(raw, float) and typ is int):
+        raise ValueError(f"expected {typ.__name__}, got {raw!r}")
     if isinstance(raw, typ):
         return raw
     if typ is bool:
@@ -113,6 +117,7 @@ class EpisodeState:
     problem: Problem
     graph: ComputeGraph
     question: object  # raw text, or its token indices as a tuple; encoded once at reset
+    input_kinds: tuple  # the problem's input kinds, which with the next slot fix the mask
     history: list = field(default_factory=list)
     done: bool = False
 
@@ -126,11 +131,16 @@ def is_multivariate_differentiate(problem: Problem) -> bool:
     return False
 
 
+_ROOT = object()  # the mask key's slot at the root, where next_slot_type is None too
+
+
 class Environment:
     """One single-threaded episode at a time; instances share nothing.
 
     A BPE codec is given exactly when config.encoded_observations is set;
-    reset encodes the question once into the episode state."""
+    reset encodes the question once into the episode state.  compute_mask
+    keeps one read-only mask per (next slot type or root, input kinds), so
+    the masks it hands out are shared and must not be written to."""
 
     def __init__(
         self,
@@ -149,6 +159,7 @@ class Environment:
                 f"{self.config.max_question_tokens}"
             )
         self.state: EpisodeState | None = None
+        self._masks: dict = {}  # (slot type or _ROOT, input kinds) -> read-only mask
 
     @property
     def n_ops(self) -> int:
@@ -177,7 +188,8 @@ class Environment:
         question = problem.question
         if self.codec is not None:
             question = tuple(self.codec.encode(question))
-        self.state = EpisodeState(problem, ComputeGraph(), question)
+        kinds = tuple(v.kind for v in problem.inputs)
+        self.state = EpisodeState(problem, ComputeGraph(), question, kinds)
         return self._observation()
 
     def step(self, action: int):
@@ -190,14 +202,17 @@ class Environment:
             raise RuntimeError("call reset() before step()")
         if st.done:
             raise RuntimeError("episode is finished; call reset()")
+        if not isinstance(action, (int, np.integer)) or isinstance(action, bool):
+            raise ValueError(f"action {action!r} is not an integer")
         action = int(action)
-        if not 0 <= action < self.n_actions:
+        n_ops = self.registry.n_ops
+        if not 0 <= action < n_ops + self.config.n_inputs:
             raise ValueError(f"action {action} outside [0, {self.n_actions})")
 
-        if action < self.n_ops:
+        if action < n_ops:
             node = self.registry[action]
         else:
-            i = action - self.n_ops
+            i = action - n_ops
             node = st.problem.inputs[i] if i < len(st.problem.inputs) else ABSENT
 
         st.history.append(action)
@@ -215,12 +230,21 @@ class Environment:
         return self._observation(), reward, True, info
 
     def compute_mask(self) -> np.ndarray:
-        """Boolean validity vector over the action space for the next
-        action; masked actions may still be taken."""
+        """Read-only boolean validity vector over the action space for the
+        next action; masked actions may still be taken.  The mask depends
+        only on the next slot's type and the inputs' kinds, so action_mask
+        builds it once per pair and later calls share that array."""
         st = self.state
         if st is None or st.done:
             raise RuntimeError("mask is only defined for an active episode")
-        return action_mask(self.registry, st.problem.inputs, self.config.n_inputs, st.graph)
+        graph = st.graph
+        key = (graph.next_slot_type() if graph.nodes else _ROOT, st.input_kinds)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = action_mask(self.registry, st.problem.inputs, self.config.n_inputs, graph)
+            mask.flags.writeable = False
+            self._masks[key] = mask
+        return mask
 
     def replay(self, problem: Problem, actions) -> tuple:
         """Run a full episode from an action sequence; returns

@@ -489,11 +489,15 @@ class TypedValue:
     The hash is hash((kind, payload)), computed on first use and kept on the
     instance, so a value used as a memo key many times hashes its payload
     tree once.  A str hash differs between processes, so a value must not
-    carry it across one; nothing pickles values."""
+    carry it across one; nothing pickles values.  render keeps the value's
+    text the same way, so an input leaf or an output rendered again is a
+    lookup.  Neither is a field, so equality and hashing see only kind and
+    payload."""
 
     kind: str
     payload: object = None
     _hash = None  # a class attribute, not a field: set on the first __hash__
+    _text = None  # a class attribute, not a field: set on the first render
 
     def __post_init__(self):
         if self.kind not in TYPE_TAGS or self.kind == OBJECT:
@@ -616,7 +620,16 @@ def render_expr(e) -> str:
 
 
 def render(v: TypedValue) -> str:
-    """Canonical dataset-style text for any typed value."""
+    """Canonical dataset-style text for any typed value, computed on the
+    first call and kept on the value."""
+    text = v._text
+    if text is None:
+        text = _render_text(v)
+        object.__setattr__(v, "_text", text)
+    return text
+
+
+def _render_text(v: TypedValue) -> str:
     k = v.kind
     if k == ABSENT_KIND:
         return "None"

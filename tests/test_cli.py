@@ -492,12 +492,18 @@ def test_checkpoint_meta_needs_an_object_config_and_a_step_count(tmp_path, capsy
     "config, message",
     [({"seed": -1}, "seed must not be negative"),
      ({"nosuch": 1}, "unknown config key: nosuch"),
-     ({"seed": None}, "seed: int() argument must be")],
-    ids=["negative-seed", "unknown-key", "null-seed"],
+     ({"seed": None}, "seed: int() argument must be"),
+     ({"max_nodes": 6.9}, "max_nodes: expected int, got 6.9"),
+     ({"seed": True}, "seed: expected int, got True"),
+     ({"learning_rate": True}, "learning_rate: expected float, got True")],
+    ids=["negative-seed", "unknown-key", "null-seed", "float-max-nodes", "bool-seed",
+         "bool-learning-rate"],
 )
 def test_checkpoint_config_errors_name_the_file(tmp_path, capsys, command, config, message):
     # a stored config that from_mapping rejects used to exit 1 without the
-    # path (a null value exited 3 with a TypeError)
+    # path (a null value exited 3 with a TypeError); a float for an int key
+    # used to be truncated and a bool taken as 0 or 1 (max_nodes 6.9 and
+    # seed true played with max_nodes 6 and seed 1)
     stored = {"modules": "numbers__is_prime", "feature_dim": 1024, **config}
     code, stdout, err, path, out = _run_on_bad_checkpoint(
         tmp_path, capsys, command, meta_change={"config": stored}

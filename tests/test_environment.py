@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,50 @@ def test_step_after_done_is_a_usage_error():
         env.step(0)
 
 
+def test_step_before_reset_is_a_usage_error():
+    with pytest.raises(RuntimeError, match=r"call reset\(\) before step\(\)"):
+        Environment().step(0)
+
+
+def test_mask_outside_an_active_episode_is_a_usage_error():
+    env = Environment()
+    with pytest.raises(RuntimeError, match="active episode"):
+        env.compute_mask()
+    env.reset(derivative_problem())
+    env.step(5)
+    env.step(15)
+    with pytest.raises(RuntimeError, match="active episode"):
+        env.compute_mask()
+
+
+@pytest.mark.parametrize("action", [-1, 18, np.int64(18)])
+def test_step_rejects_an_action_outside_the_action_space(action):
+    env = Environment()
+    env.reset(derivative_problem())
+    with pytest.raises(ValueError, match=r"outside \[0, 18\)"):
+        env.step(action)
+    assert env.state.history == []
+
+
+@pytest.mark.parametrize("action", [7.9, 7.0, np.float64(5.0), "5", True, None])
+def test_step_rejects_an_action_that_is_not_an_integer(action):
+    # int(action) used to play 7.9 as action 7
+    env = Environment()
+    env.reset(derivative_problem())
+    with pytest.raises(ValueError, match=re.escape(f"action {action!r} is not an integer")):
+        env.step(action)
+    assert env.state.history == []
+
+
+def test_step_takes_numpy_integers():
+    env = Environment()
+    env.reset(derivative_problem())
+    env.step(np.int64(5))
+    obs, reward, done, _ = env.step(np.int32(15))
+    assert (reward, done) == (1, True)
+    assert obs.history == (5, 15) and all(type(a) is int for a in obs.history)
+
+
 def test_too_many_inputs_rejected():
     q = (
         "Let h(t) = t**3 + t**2 + 1. Let v(d) = 6*d**3 + 24*d**2 + 4. "
@@ -313,6 +358,32 @@ def test_codec_without_encoded_observations_is_rejected():
         Environment(config=EnvConfig(encoded_observations=True))
 
 
+@pytest.mark.parametrize(
+    "mapping, message",
+    [({"n_inputs": 2.7}, "n_inputs: expected int, got 2.7"),
+     ({"max_nodes": 6.0}, "max_nodes: expected int, got 6.0"),
+     ({"n_inputs": True}, "n_inputs: expected int, got True"),
+     ({"max_nodes": "6.9"}, "max_nodes: invalid literal for int()"),
+     ({"encoded_observations": "maybe"}, "encoded_observations: not a boolean: 'maybe'")],
+    ids=["float-int", "whole-float-int", "bool-int", "float-text-int", "text-not-a-bool"],
+)
+def test_from_mapping_takes_no_float_for_an_int_and_no_bool_for_a_number(mapping, message):
+    # a float used to be truncated (n_inputs 2.7 gave 2) and a bool taken as 0 or 1
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        EnvConfig.from_mapping(mapping)
+
+
+def test_from_mapping_reads_text_and_bool_spellings():
+    for text in ("0", "false", "No", "OFF"):
+        config = EnvConfig.from_mapping({"univariate_differentiate_only": text})
+        assert config.univariate_differentiate_only is False
+    for text in ("1", "true", "Yes", "on"):
+        config = EnvConfig.from_mapping({"univariate_differentiate_only": text})
+        assert config.univariate_differentiate_only is True
+    config = EnvConfig.from_mapping({"n_inputs": "4", "max_nodes": 5, "encoded_observations": False})
+    assert (config.n_inputs, config.max_nodes, config.encoded_observations) == (4, 5, False)
+
+
 def test_max_question_tokens_without_encoded_observations_is_rejected():
     with pytest.raises(ConfigError, match="max_question_tokens"):
         EnvConfig(max_question_tokens=5)
@@ -382,6 +453,43 @@ def test_episode_texts_outputs_and_rewards_are_pinned():
         rewarded += reward
     assert episodes == 660 and rewarded >= 220
     assert digest.hexdigest() == EPISODE_DIGEST
+
+
+def test_shared_masks_equal_fresh_masks_and_are_read_only():
+    # compute_mask keeps one mask per (next slot type, input kinds); over the
+    # pinned episodes, the mask after each reset and in each step's info
+    # equals a fresh action_mask of the graph at that moment, and none of
+    # them can be written to
+    env = Environment()
+    handed_out = []
+
+    def check(mask):
+        st = env.state
+        fresh = action_mask(env.registry, st.problem.inputs, env.config.n_inputs, st.graph)
+        assert fresh.flags.writeable and fresh.dtype == mask.dtype == bool
+        assert np.array_equal(mask, fresh)
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+        handed_out.append(mask)
+
+    reset, step = env.reset, env.step
+
+    def checked_reset(problem):
+        obs = reset(problem)
+        check(env.compute_mask())
+        return obs
+
+    def checked_step(action):
+        out = step(action)
+        if out[3]["mask"] is not None:
+            check(out[3]["mask"])
+        return out
+
+    env.reset, env.step = checked_reset, checked_step
+    assert sum(1 for _ in pinned_episodes(env)) == 660
+    assert len(handed_out) == 660 + 2700  # every reset, every step before the last
+    # a few dozen (slot type, input kinds) pairs: the arrays are shared
+    assert len({id(mask) for mask in handed_out}) < 100
 
 
 OBSERVATION_DIGESTS = {

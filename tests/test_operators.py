@@ -9,6 +9,8 @@ from mathsynth.values import (
     ABSENT,
     ABSENT_KIND,
     EQUATION,
+    TypedValue,
+    _render_text,
     Call,
     Num,
     Sym,
@@ -369,3 +371,19 @@ def test_operator_outputs_are_pinned():
     assert evaluations == EVALUATIONS
     assert produced == set(ALL_OPERATOR_NAMES)
     assert digest.hexdigest() == OPERATOR_DIGEST
+
+
+def test_operator_outputs_keep_the_text_that_rendering_from_scratch_gives():
+    # every output of the pinned sweep renders, twice, to its uncached text,
+    # and compares and hashes as a twin never rendered
+    pool = _operator_pool()
+    evaluations = 0
+    for spec in REG:
+        for args in _typed_tuples(spec, pool):
+            out = spec.eval(*args)
+            text = _render_text(out)
+            assert render(out) == render(out) == text
+            twin = TypedValue(out.kind, out.payload)
+            assert twin == out and hash(twin) == hash(out) and render(twin) == text
+            evaluations += 1
+    assert evaluations == EVALUATIONS

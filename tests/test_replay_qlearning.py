@@ -10,7 +10,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from mathsynth.environment import EnvConfig, Environment, ProblemRejected
+from mathsynth.environment import ConfigError, EnvConfig, Environment, ProblemRejected
 from mathsynth.parsing import Observation, train_bpe
 from mathsynth.problems import SUPPORTED_MODULES, generate
 from mathsynth.qlearning import (
@@ -678,6 +678,18 @@ def test_config_validation():
     cfg = TrainConfig.from_mapping({"modules": "numbers__gcd,numbers__lcm", "batch_size": "32"})
     assert cfg.modules == ("numbers__gcd", "numbers__lcm")
     assert cfg.batch_size == 32
+
+
+def test_config_from_mapping_takes_no_bool_for_a_number_and_no_float_for_an_int():
+    # learning_rate true used to read 1.0, and seed 1.5 to read 1
+    for mapping in ({"learning_rate": True}, {"gamma": False}, {"seed": True},
+                    {"seed": 1.5}, {"batch_size": 32.0}):
+        key, raw = next(iter(mapping.items()))
+        with pytest.raises(ConfigError, match=f"{key}: expected .*, got {raw!r}"):
+            TrainConfig.from_mapping(mapping)
+    config = TrainConfig.from_mapping({"learning_rate": 1, "gamma": "1", "seed": "3"})
+    assert (config.learning_rate, config.gamma, config.seed) == (1.0, 1.0, 3)
+    assert type(config.learning_rate) is float
 
 
 def test_priority_floor_must_be_positive():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -29,6 +30,7 @@ from mathsynth.values import (
     TypingError,
     _mono_mul,
     _poly_mul,
+    _render_text,
     add,
     as_poly,
     boolean,
@@ -218,6 +220,24 @@ def test_round_trip_without_kind_for_unambiguous_values():
         v = _random_typed(rng)
         if v.kind in (EQUATION, FUNCTION, LIST_OF_EQUATION, MAP_VARIABLE_TO_VALUE):
             assert parse_value(render(v)).kind == v.kind
+
+
+def test_render_keeps_the_text_that_rendering_from_scratch_gives():
+    # render keeps each value's text on the instance, as __hash__ keeps the
+    # hash; on every kind, the kept text is the uncached rendering, and a
+    # rendered value compares, hashes and prints as a twin never rendered
+    assert [f.name for f in dataclasses.fields(TypedValue)] == ["kind", "payload"]
+    rng = random.Random(5)
+    values = [_random_typed(rng, kind) for kind in _KINDS for _ in range(60)]
+    values += [boolean(True), boolean(False), ABSENT]
+    assert len({_render_text(v) for v in values}) > 400
+    for v in values:
+        text = _render_text(v)
+        assert render(v) == render(v) == text
+        twin = TypedValue(v.kind, v.payload)
+        assert twin == v and hash(twin) == hash(v) == hash((v.kind, v.payload))
+        assert repr(twin) == repr(v) == f"{v.kind}({text!r})"
+        assert render(twin) == text
 
 
 def test_map_entries_parse_back_by_their_text():
