@@ -66,8 +66,8 @@ class EnvConfig:
 
 
 def _coerce(raw, typ):
-    # a bool is an int and an int is never a float's truncation, but neither
-    # may stand for a number of another type
+    # a typed value (from a checkpoint's JSON) must fit the key: bool is an
+    # int subclass but no number, and int() would truncate a float
     if (isinstance(raw, bool) and typ is not bool) or (isinstance(raw, float) and typ is int):
         raise ValueError(f"expected {typ.__name__}, got {raw!r}")
     if isinstance(raw, typ):
@@ -193,8 +193,10 @@ class Environment:
         return self._observation()
 
     def step(self, action: int):
-        """Returns (observation, reward, done, info).  info["mask"] is the
-        next action's validity vector, None once done; the final step adds
+        """Play one action, a Python or numpy integer index into the action
+        space.  Returns (observation, reward, done, info).  info["mask"] is the
+        next action's validity vector, as compute_mask shares it read-only,
+        and None once done; the final step adds
         info["output"] and info["graph"], the graph text with '?' for each
         slot left open."""
         st = self.state
